@@ -28,10 +28,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 
 	"runaheadsim/internal/harness"
 	"runaheadsim/internal/twin"
+	"runaheadsim/internal/workload"
 )
 
 func main() {
@@ -57,6 +57,11 @@ func main() {
 		scUnc     = flag.Float64("screen-uncertain", 10, "with -screen: promote benches whose calibration MAPE exceeds this %")
 	)
 	flag.Parse()
+	members, err := workload.ParseNames(*mix)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-mix: %v\n", err)
+		os.Exit(2)
+	}
 
 	opts := harness.Options{MeasureUops: *uops}
 	if *sample {
@@ -115,14 +120,12 @@ func main() {
 	// mode the mix results are emitted as their own objects with per-core
 	// stats keyed by core ID, not flattened into table rows.
 	var mixResults []*harness.MixResult
-	if *cores > 0 || *mix != "" {
-		members := harness.DefaultMix(*cores)
-		if *mix != "" {
-			members = strings.Split(*mix, ",")
-			if *cores > 0 && len(members) != *cores {
-				fmt.Fprintf(os.Stderr, "-mix names %d kernels but -cores is %d\n", len(members), *cores)
-				os.Exit(2)
-			}
+	if *cores > 0 || len(members) > 0 {
+		if len(members) == 0 {
+			members = harness.DefaultMix(*cores)
+		} else if *cores > 0 && len(members) != *cores {
+			fmt.Fprintf(os.Stderr, "-mix names %d kernels but -cores is %d\n", len(members), *cores)
+			os.Exit(2)
 		}
 		for _, rc := range harness.MixConfigs() {
 			mixResults = append(mixResults, r.RunMix(members, rc))

@@ -12,7 +12,6 @@
 //	runahead-sweep -experiments figure9,figure17
 //	runahead-sweep -uops 300000 -out results.txt
 //	runahead-sweep -sample -j 8         # sampled intervals, 8 workers
-//	runahead-sweep -experiments figure9 -bench-out BENCH_sweep.json
 //	runahead-sweep -cores 4             # 4-core multi-programmed mix
 //	runahead-sweep -cores 2 -mix libquantum,mcf
 package main
@@ -26,11 +25,10 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"runaheadsim/internal/harness"
-	"runaheadsim/internal/stats"
 	"runaheadsim/internal/telemetry"
+	"runaheadsim/internal/workload"
 )
 
 func main() {
@@ -56,10 +54,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		sWarmup   = fs.Uint64("sample-warmup", 0, "detailed warmup uops per sampled interval (0 = 50000)")
 		sPhases   = fs.Int("phases", 0, "pin the phase count in -sample-mode=phase (0 = choose by BIC)")
 		sBBV      = fs.Int("bbv-windows", 0, "BBV profiling windows in -sample-mode=phase (0 = 32)")
-		benchOut  = fs.String("bench-out", "", "benchmark the sweep (parallel/sampled vs sequential full-detail) and write the JSON report here")
-		benchCore = fs.String("bench-core", "", "benchmark the cycle kernel (event vs scan scheduler, with equivalence checks) and write the JSON report here")
-		benchMem  = fs.String("bench-mem", "", "benchmark the memory system + clock warp (warp vs per-cycle clock, with equivalence checks) and write the JSON report here")
-		benchMC   = fs.String("bench-mc", "", "benchmark the multi-core subsystem (throughput + weighted-speedup deltas, RB vs baseline at 2/4 cores) and write the JSON report here")
 		cores     = fs.Int("cores", 1, "multi-programmed mode: cores sharing one LLC+DRAM (2-8; 1 = normal single-core sweep)")
 		mix       = fs.String("mix", "", "multi-programmed mode: comma-separated kernel mix, one per core (empty = default memory-bound rotation)")
 		tele      = fs.String("telemetry-addr", "", "serve /metrics, /progress (live per-worker sweep state), /healthz and pprof on this address")
@@ -75,6 +69,19 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	badList := false
+	names := func(flagName, spec string) []string {
+		list, err := workload.ParseNames(spec)
+		if err != nil {
+			fmt.Fprintf(stderr, "-%s: %v\n", flagName, err)
+			badList = true
+		}
+		return list
+	}
+	benchSet, mixSet, critical := names("benchmarks", *benches), names("mix", *mix), names("screen-critical", *scCrit)
+	if badList {
+		return 2
+	}
 
 	var tracker *telemetry.Tracker
 	if *tele != "" {
@@ -88,29 +95,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "telemetry: http://%s/metrics /progress /healthz /debug/pprof/\n", srv.Addr())
 	}
 
-	if *benchCore != "" || *benchMem != "" || *benchMC != "" {
-		var set []string
-		if *benches != "" {
-			set = strings.Split(*benches, ",")
-		}
-		if *benchCore != "" {
-			if rc := runBenchCore(*benchCore, set, *uops, stderr); rc != 0 {
-				return rc
-			}
-		}
-		if *benchMem != "" {
-			if rc := runBenchMem(*benchMem, set, *uops, stderr); rc != 0 {
-				return rc
-			}
-		}
-		if *benchMC != "" {
-			if rc := runBenchMC(*benchMC, *uops, stderr); rc != 0 {
-				return rc
-			}
-		}
-		return 0
-	}
-
 	var w io.Writer = stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -122,12 +106,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		w = f
 	}
 
-	opts := harness.Options{MeasureUops: *uops, WarmupUops: *warmup, FlightDumpDir: *fdump}
+	opts := harness.Options{MeasureUops: *uops, WarmupUops: *warmup, FlightDumpDir: *fdump, Benchmarks: benchSet}
 	if tracker != nil {
 		opts.Monitor = tracker
-	}
-	if *benches != "" {
-		opts.Benchmarks = strings.Split(*benches, ",")
 	}
 	if !*quiet {
 		opts.Progress = func(bench, config string) {
@@ -146,20 +127,16 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			Phases: *sPhases, BBVWindows: *sBBV}
 	}
 
+	sf := screenFlags{topK: *scTopK, uncertain: *scUnc, critical: critical}
 	if *calibrate {
-		var set []string
-		if *benches != "" {
-			set = strings.Split(*benches, ",")
-		}
-		return runCalibrate(*twinPath, opts, set, *workers, stderr)
+		return runCalibrate(*twinPath, opts, benchSet, *workers, stderr)
 	}
 	if *benchTwin != "" {
-		return runBenchTwin(*benchTwin, *twinPath,
-			opts, screenFlags{topK: *scTopK, uncertain: *scUnc, critical: *scCrit}, *workers, stderr)
+		return runBenchTwin(*benchTwin, *twinPath, opts, sf, *workers, stderr)
 	}
 
-	if *cores > 1 || *mix != "" {
-		return runMixMode(*cores, *mix, opts, w, *asJSON, stderr)
+	if *cores > 1 || len(mixSet) > 0 {
+		return runMixMode(*cores, mixSet, opts, w, *asJSON, stderr)
 	}
 
 	expSpec := *exps
@@ -188,16 +165,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	var sc *harness.Screen
 	if *screen {
-		if *benchOut != "" {
-			fmt.Fprintln(stderr, "-screen does not combine with -bench-out; use -bench-twin for the screened-vs-full comparison")
-			return 2
-		}
 		model, ok := loadTwin(*twinPath, opts.MeasureUops, stderr)
 		if !ok {
 			return 1
 		}
-		sc, err = harness.BuildScreen(runner, plan,
-			screenFlags{topK: *scTopK, uncertain: *scUnc, critical: *scCrit}.options(model), *workers)
+		sc, err = harness.BuildScreen(runner, plan, sf.options(model), *workers)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -205,13 +177,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		runner.SetScreen(sc)
 	}
 
-	var report *benchReport
-	switch {
-	case sc != nil:
+	if sc != nil {
 		runner.Prewarm(sc.Promoted(plan), *workers)
-	case *benchOut != "":
-		report = benchmarkSweep(runner, opts, plan, *workers, stderr)
-	default:
+	} else {
 		runner.Prewarm(plan, *workers)
 	}
 
@@ -243,33 +211,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if report != nil {
-		report.Experiments = *exps
-		report.Sampled = *sample
-		if *sample {
-			report.SampleMode = *sMode
-			report.Intervals = *intervals
-		}
-		f, err := os.Create(*benchOut)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "bench: %d runs, sequential %.1fs, parallel %.1fs (%.2fx), %.0f sim-cycles/s, max IPC err %.2f%%\n",
-			report.Runs, report.WallSequentialSec, report.WallParallelSec, report.Speedup,
-			report.SimCyclesPerSec, report.MaxIPCRelErrPct)
-		for _, sm := range report.SampleModes {
-			fmt.Fprintf(stderr, "bench: mode=%-5s detailed %d uops, max IPC err %.2f%%, mean %.2f%%\n",
-				sm.Mode, sm.DetailedUops, sm.MaxIPCRelErrPct, sm.MeanIPCRelErrPct)
-		}
-	}
 	return 0
 }
 
@@ -305,195 +246,17 @@ func selectExperiments(spec string) ([]harness.Experiment, error) {
 	return selected, nil
 }
 
-// benchReport is the BENCH_sweep.json schema: the cost of the sweep under
-// the requested parallel (and possibly sampled) setup against the
-// sequential full-detail reference, plus the sampling accuracy.
-type benchReport struct {
-	Experiments string `json:"experiments"`
-	Runs        int    `json:"runs"`
-	Workers     int    `json:"workers"`
-	Sampled     bool   `json:"sampled"`
-	SampleMode  string `json:"sample_mode,omitempty"`
-	Intervals   int    `json:"intervals,omitempty"`
-
-	WallSequentialSec float64 `json:"wall_sequential_sec"`
-	WallParallelSec   float64 `json:"wall_parallel_sec"`
-	Speedup           float64 `json:"speedup"`
-
-	SimCycles       int64   `json:"sim_cycles"`
-	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
-
-	// IPC of each pair under the benchmarked setup vs the sequential
-	// full-detail reference (nonzero only with -sample).
-	MaxIPCRelErrPct  float64 `json:"max_ipc_rel_err_pct"`
-	MeanIPCRelErrPct float64 `json:"mean_ipc_rel_err_pct"`
-
-	// SampleModes compares even vs phase placement over the same plan at
-	// the same settings against the same full-detail reference (present
-	// only with -sample).
-	SampleModes []benchSampleMode `json:"sample_modes,omitempty"`
-}
-
-// benchSampleMode is one sampling mode's accuracy and cost over the plan.
-type benchSampleMode struct {
-	Mode string `json:"mode"`
-	// DetailedUops is the total detailed-simulation cost across the plan —
-	// the budget the accuracy is bought with.
-	DetailedUops uint64 `json:"detailed_uops"`
-	// Phases is the largest per-run phase count the clustering chose
-	// (phase mode only).
-	Phases  int     `json:"phases,omitempty"`
-	WallSec float64 `json:"wall_sec"`
-	// ProfileWallSec is the share of WallSec spent in interpreter-speed
-	// profiling (the BBV pass of phase mode) — the planning overhead the
-	// placement quality is bought with. Zero in even mode.
-	ProfileWallSec   float64 `json:"profile_wall_sec"`
-	MaxIPCRelErrPct  float64 `json:"max_ipc_rel_err_pct"`
-	MeanIPCRelErrPct float64 `json:"mean_ipc_rel_err_pct"`
-}
-
-// benchmarkSweep times the planned run set twice: sequentially at full
-// detail (the reference), then on the requested worker pool with the
-// requested options — and compares per-run IPC between the two.
-func benchmarkSweep(runner *harness.Runner, opts harness.Options, plan []harness.PlannedRun, workers int, stderr io.Writer) *benchReport {
-	refOpts := opts
-	refOpts.Sample = nil
-	ref := harness.NewRunner(refOpts)
-	t0 := time.Now()
-	ref.Prewarm(plan, 1)
-	wallSeq := time.Since(t0).Seconds()
-
-	t0 = time.Now()
-	runner.Prewarm(plan, workers)
-	wallPar := time.Since(t0).Seconds()
-
-	r := &benchReport{
-		Runs:              len(plan),
-		Workers:           workers,
-		WallSequentialSec: wallSeq,
-		WallParallelSec:   wallPar,
-		Speedup:           stats.Div(wallSeq, wallPar),
-	}
-	for _, pr := range plan {
-		res := runner.Result(pr.Bench, pr.Config)
-		r.SimCycles += res.Stats.Cycles
-	}
-	r.SimCyclesPerSec = stats.Div(float64(r.SimCycles), wallPar)
-	r.MaxIPCRelErrPct, r.MeanIPCRelErrPct = ipcError(runner, ref, plan)
-
-	// With sampling on, also run the plan under the other placement mode so
-	// the report compares even vs phase at the same settings (and so the
-	// accuracy gate can check that phase buys equal-or-better accuracy at
-	// equal-or-lower detailed cost).
-	if opts.Sample != nil {
-		cur := modeSummary(runner, ref, plan, wallPar)
-		for _, mode := range []string{harness.SampleEven, harness.SamplePhase} {
-			if mode == cur.Mode {
-				r.SampleModes = append(r.SampleModes, cur)
-				continue
-			}
-			altOpts := opts
-			so := *opts.Sample
-			so.Mode = mode
-			altOpts.Sample = &so
-			alt := harness.NewRunner(altOpts)
-			t0 = time.Now()
-			alt.Prewarm(plan, workers)
-			r.SampleModes = append(r.SampleModes, modeSummary(alt, ref, plan, time.Since(t0).Seconds()))
-		}
-	}
-	return r
-}
-
-// ipcError compares per-run IPC between a runner and the full-detail
-// reference, returning the max and mean relative error in percent. A plan may
-// legitimately be empty (an experiment subset with no runs) and a reference
-// IPC of zero contributes zero error rather than Inf.
-func ipcError(runner, ref *harness.Runner, plan []harness.PlannedRun) (maxE, meanE float64) {
-	var errSum float64
-	for _, pr := range plan {
-		res := runner.Result(pr.Bench, pr.Config)
-		refRes := ref.Result(pr.Bench, pr.Config)
-		e := 100 * stats.Div(abs(res.IPC-refRes.IPC), refRes.IPC)
-		errSum += e
-		if e > maxE {
-			maxE = e
-		}
-	}
-	return maxE, stats.Div(errSum, float64(len(plan)))
-}
-
-// modeSummary condenses one sampling mode's accuracy and cost over the plan.
-func modeSummary(runner, ref *harness.Runner, plan []harness.PlannedRun, wallSec float64) benchSampleMode {
-	sm := benchSampleMode{WallSec: wallSec, ProfileWallSec: runner.ProfileWallSec()}
-	sm.MaxIPCRelErrPct, sm.MeanIPCRelErrPct = ipcError(runner, ref, plan)
-	for _, pr := range plan {
-		if si := runner.Result(pr.Bench, pr.Config).Sampling; si != nil {
-			sm.Mode = si.Mode
-			sm.DetailedUops += si.DetailedUops
-			if si.Phases > sm.Phases {
-				sm.Phases = si.Phases
-			}
-		}
-	}
-	return sm
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// runBenchCore handles -bench-core: time the event-driven scheduler against
-// the scan reference on memory-bound workloads (each pair equivalence-checked
-// down to snapshot bytes) and write BENCH_core.json.
-func runBenchCore(path string, benches []string, uops uint64, stderr io.Writer) int {
-	rep, err := harness.BenchCore(benches, uops)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	for _, r := range rep.Runs {
-		fmt.Fprintf(stderr, "bench-core: %-10s %-18s %9d cycles  scan %8.0f c/s  event %8.0f c/s  %.2fx\n",
-			r.Bench, r.Mode, r.SimCycles, r.ScanCyclesPerSec, r.EventCyclesPerSec, r.Speedup)
-	}
-	fmt.Fprintf(stderr, "bench-core: geomean speedup %.2fx over %d runs\n", rep.GeomeanSpeedup, len(rep.Runs))
-	return 0
-}
-
-// runBenchMem handles -bench-mem: time the warped clock (event-driven memory
-// system + whole-simulator stall skip) against the per-cycle reference on the
-// memory-bound workloads (each pair equivalence-checked down to snapshot
-// bytes) and write BENCH_mem.json.
 // runMixMode is the multi-programmed entry point: N cores, one kernel each,
 // sharing one LLC + DRAM controller, run to a fixed per-core uop quota under
 // the baseline and the runahead buffer. It renders the per-core
 // IPC/weighted-speedup/fairness table (or, with -json, one object per
 // configuration with per-core stats keyed by core ID).
-func runMixMode(cores int, mixSpec string, opts harness.Options, w io.Writer, asJSON bool, stderr io.Writer) int {
-	var mix []string
-	if mixSpec != "" {
-		mix = strings.Split(mixSpec, ",")
-		if cores > 1 && len(mix) != cores {
-			fmt.Fprintf(stderr, "-mix names %d kernels but -cores is %d\n", len(mix), cores)
-			return 2
-		}
-	} else {
+func runMixMode(cores int, mix []string, opts harness.Options, w io.Writer, asJSON bool, stderr io.Writer) int {
+	if len(mix) == 0 {
 		mix = harness.DefaultMix(cores)
+	} else if cores > 1 && len(mix) != cores {
+		fmt.Fprintf(stderr, "-mix names %d kernels but -cores is %d\n", len(mix), cores)
+		return 2
 	}
 	if len(mix) < 1 || len(mix) > 8 {
 		fmt.Fprintf(stderr, "multi-programmed mode supports 1-8 cores, got %d\n", len(mix))
@@ -515,68 +278,5 @@ func runMixMode(cores int, mixSpec string, opts harness.Options, w io.Writer, as
 	}
 	t := harness.MixTable(results)
 	t.Render(w)
-	return 0
-}
-
-// runBenchMC benchmarks the multi-core subsystem and writes BENCH_mc.json.
-func runBenchMC(path string, uops uint64, stderr io.Writer) int {
-	rep, err := harness.BenchMulticore(nil, uops)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	for _, r := range rep.Runs {
-		fmt.Fprintf(stderr, "bench-mc: %dc %-8s %9d cycles  %8.0f c/s  WS %.2f  hmean-slowdown %.2f  max %.2f\n",
-			r.Cores, r.Config, r.SimCycles, r.CyclesPerSec, r.WeightedSpeedup, r.HmeanSlowdown, r.MaxSlowdown)
-	}
-	for _, d := range rep.Deltas {
-		fmt.Fprintf(stderr, "bench-mc: %dc RB vs base: weighted speedup %+.2f, throughput %.2fx\n",
-			d.Cores, d.WSGain, d.ThroughputRatio)
-	}
-	return 0
-}
-
-func runBenchMem(path string, benches []string, uops uint64, stderr io.Writer) int {
-	rep, err := harness.BenchMem(benches, uops)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	nDom := 0
-	for _, r := range rep.Runs {
-		mark := " "
-		if r.StallDominated {
-			mark = "*"
-			nDom++
-		}
-		fmt.Fprintf(stderr, "bench-mem: %s %-10s %-18s %9d cycles  tick %8.0f c/s  warp %8.0f c/s  %.2fx (%.0f%% warped)\n",
-			mark, r.Bench, r.Mode, r.SimCycles, r.TickCyclesPerSec, r.WarpCyclesPerSec, r.Speedup, r.WarpedFrac*100)
-	}
-	fmt.Fprintf(stderr, "bench-mem:  geomean speedup %.2fx over %d stall-dominated runs (*), %.2fx over all %d runs\n",
-		rep.GeomeanSpeedup, nDom, rep.GeomeanSpeedupAll, len(rep.Runs))
 	return 0
 }

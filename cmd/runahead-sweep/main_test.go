@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -32,39 +31,28 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSampledSweepRuns checks the -sample path end to end, with a bench
-// report carrying the measured speedup and sampling error.
+// TestSampledSweepRuns checks the -sample path end to end: the sampled
+// sweep must render its table, and its numbers must come from sampled runs
+// (they differ from the full-detail sweep at the same settings). Sampling
+// accuracy is pinned in the harness package (TestSampleModeAccuracy).
 func TestSampledSweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	benchFile := filepath.Join(t.TempDir(), "bench.json")
-	args := []string{"-experiments", "figure12", "-benchmarks", "mcf",
-		"-uops", "60000", "-warmup", "30000", "-q",
-		"-sample", "-intervals", "4", "-j", "4", "-bench-out", benchFile}
-	var out, errb bytes.Buffer
-	if code := run(args, &out, &errb); code != 0 {
+	args := []string{"-experiments", "figure9", "-benchmarks", "mcf",
+		"-uops", "60000", "-warmup", "30000", "-q", "-j", "4"}
+	var full, sampled, errb bytes.Buffer
+	if code := run(args, &full, &errb); code != 0 {
+		t.Fatalf("full-detail sweep exited %d: %s", code, errb.String())
+	}
+	if code := run(append(append([]string{}, args...), "-sample", "-intervals", "4"), &sampled, &errb); code != 0 {
 		t.Fatalf("sampled sweep exited %d: %s", code, errb.String())
 	}
-	data, err := os.ReadFile(benchFile)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Contains(sampled.Bytes(), []byte("figure9")) || !bytes.Contains(sampled.Bytes(), []byte("\nmcf ")) {
+		t.Fatalf("sampled sweep is missing the figure9 mcf row:\n%s", sampled.String())
 	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bench report is not valid JSON: %v\n%s", err, data)
-	}
-	if rep.Runs == 0 || rep.WallParallelSec <= 0 || rep.WallSequentialSec <= 0 {
-		t.Fatalf("bench report missing timings: %+v", rep)
-	}
-	if !rep.Sampled || rep.Intervals != 4 {
-		t.Fatalf("bench report misdescribes the setup: %+v", rep)
-	}
-	if rep.SimCycles <= 0 || rep.SimCyclesPerSec <= 0 {
-		t.Fatalf("bench report missing throughput: %+v", rep)
-	}
-	if rep.MaxIPCRelErrPct > 25 {
-		t.Errorf("sampling error %.1f%% implausibly large: %+v", rep.MaxIPCRelErrPct, rep)
+	if bytes.Equal(full.Bytes(), sampled.Bytes()) {
+		t.Fatalf("-sample rendered the full-detail numbers; sampling did not engage:\n%s", sampled.String())
 	}
 }
 
@@ -121,5 +109,81 @@ func TestMixModeBadFlags(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-cores", "3", "-mix", "mcf,milc"}, &out, &errb); code == 0 {
 		t.Fatal("mismatched -mix/-cores accepted")
+	}
+}
+
+// TestBenchmarkListFlags pins the list-flag parser: entries are trimmed, so
+// "mcf, lbm" names both kernels (it used to drop lbm from -benchmarks and
+// panic in -mix), and an empty or unknown entry exits 2 with a one-line
+// error naming it.
+func TestBenchmarkListFlags(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{"-experiments", "figure9", "-benchmarks", "mcf, lbm", "-uops", "2000", "-warmup", "2000", "-q", "-j", "1"}
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("-benchmarks \"mcf, lbm\" exited %d: %s", code, errb.String())
+	}
+	for _, want := range []string{"\nmcf ", "\nlbm "} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("figure9 is missing the %q row:\n%s", strings.TrimSpace(want), out.String())
+		}
+	}
+
+	out.Reset()
+	if code := run([]string{"-cores", "2", "-mix", "mcf, lbm", "-uops", "2000", "-warmup", "2000", "-q"}, &out, &errb); code != 0 {
+		t.Fatalf("-mix \"mcf, lbm\" exited %d: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "lbm") {
+		t.Fatalf("mix table is missing lbm:\n%s", out.String())
+	}
+
+	for _, tc := range []struct {
+		args []string
+		bad  string
+	}{
+		{[]string{"-benchmarks", "nosuch"}, `"nosuch"`},
+		{[]string{"-benchmarks", "mcf,,lbm"}, "position 2"},
+		{[]string{"-benchmarks", "mcf,"}, "position 2"},
+		{[]string{"-cores", "2", "-mix", "mcf, nosuch"}, `"nosuch"`},
+		{[]string{"-screen", "-screen-critical", "mcf,gccc"}, `"gccc"`},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		msg := errb.String()
+		if !strings.Contains(msg, tc.bad) || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: want a one-line error naming %s, got %q", tc.args, tc.bad, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: rejected list still produced output:\n%s", tc.args, out.String())
+		}
+	}
+}
+
+// TestEmptyGeomeanRendersDash pins the empty-set geomean: a -benchmarks
+// subset with no medium/high-intensity member leaves figure9's GMean(M+H)
+// undefined, which must render as "-", not as -100.0%.
+func TestEmptyGeomeanRendersDash(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{"-experiments", "figure9", "-benchmarks", "gcc", "-uops", "2000", "-warmup", "2000", "-q", "-j", "1"}
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("sweep exited %d: %s", code, errb.String())
+	}
+	if strings.Contains(out.String(), "-100.0%") {
+		t.Fatalf("empty geomean rendered as -100.0%%:\n%s", out.String())
+	}
+	var gmean []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "GMean(M+H)") {
+			gmean = strings.Fields(line)[1:]
+		}
+	}
+	if len(gmean) != 4 {
+		t.Fatalf("want a GMean(M+H) row with four cells:\n%s", out.String())
+	}
+	for _, cell := range gmean {
+		if cell != "-" {
+			t.Fatalf("GMean(M+H) cell %q, want \"-\":\n%s", cell, out.String())
+		}
 	}
 }

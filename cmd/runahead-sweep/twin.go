@@ -9,9 +9,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"runaheadsim/internal/harness"
@@ -23,15 +23,11 @@ import (
 type screenFlags struct {
 	topK      int
 	uncertain float64
-	critical  string
+	critical  []string
 }
 
 func (sf screenFlags) options(model *twin.Model) harness.ScreenOptions {
-	so := harness.ScreenOptions{Model: model, TopK: sf.topK, UncertainPct: sf.uncertain}
-	if sf.critical != "" {
-		so.Critical = strings.Split(sf.critical, ",")
-	}
-	return so
+	return harness.ScreenOptions{Model: model, TopK: sf.topK, UncertainPct: sf.uncertain, Critical: sf.critical}
 }
 
 // runCalibrate handles -calibrate: run the detailed calibration matrix, fit
@@ -209,7 +205,7 @@ func runBenchTwin(path, twinPath string, opts harness.Options, sf screenFlags, w
 		if sc.WantsDetailed(pr.Bench, pr.Config) {
 			continue
 		}
-		e := 100 * stats.Div(abs(scr.Result(pr.Bench, pr.Config).IPC-ref.Result(pr.Bench, pr.Config).IPC),
+		e := 100 * stats.Div(math.Abs(scr.Result(pr.Bench, pr.Config).IPC-ref.Result(pr.Bench, pr.Config).IPC),
 			ref.Result(pr.Bench, pr.Config).IPC)
 		errSum += e
 		n++

@@ -39,7 +39,8 @@ package core
 // Config.Scheduler selects between this scheduler (SchedEvent, the default)
 // and the preserved reference scan (SchedScan). The two must pick identical
 // uop sequences cycle-by-cycle; TestSchedulerLockstep and FuzzEquivalence
-// enforce it, and BENCH_core.json records the speedup.
+// enforce it on synthetic programs, TestReferenceKernelsRealWorkloads on the
+// real kernels, and perfbench (perfbench/README.md) measures host speed.
 
 // schedRef is a lazy reference to a uop held in the wakeup/select structures.
 // DynInst slots are pooled (Core.newDyn), so a reference that is dropped

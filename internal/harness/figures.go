@@ -63,6 +63,16 @@ func (r *Runner) gmeanDelta(benches []string, rc RunConfig) float64 {
 	return 100 * (stats.GeoMean(ratios) - 1)
 }
 
+// gmeanCell renders gmeanDelta as a table cell: "-" over an empty set (a
+// benchmark subset that misses the figure's averaging set), where the
+// geomean is undefined rather than -100%.
+func (r *Runner) gmeanCell(benches []string, rc RunConfig) string {
+	if len(benches) == 0 {
+		return "-"
+	}
+	return pct(r.gmeanDelta(benches, rc))
+}
+
 // Table1 renders the simulated system configuration.
 func Table1(r *Runner) Table {
 	cfg := core.DefaultConfig()
@@ -198,7 +208,7 @@ func Figure9(r *Runner) Table {
 	}
 	row := []string{"GMean(M+H)"}
 	for _, rc := range configs {
-		row = append(row, pct(r.gmeanDelta(r.mhNames(), rc)))
+		row = append(row, r.gmeanCell(r.mhNames(), rc))
 	}
 	t.AddRow(row...)
 	t.Notes = append(t.Notes, "paper GMean(M+H): RA +14.3%, RB +14.4%, RB+CC +17.2%, Hybrid +21.0%")
@@ -320,7 +330,7 @@ func Figure15(r *Runner) Table {
 	}
 	row := []string{"GMean"}
 	for _, rc := range configs {
-		row = append(row, pct(r.gmeanDelta(r.mhNames(), rc)))
+		row = append(row, r.gmeanCell(r.mhNames(), rc))
 	}
 	t.AddRow(row...)
 	t.Notes = append(t.Notes, "paper GMean: PF +37.5%, RA+PF +48.3%, RB+PF +47.1%, RB+CC+PF +48.2%, Hybrid+PF +51.5%")

@@ -166,3 +166,51 @@ func TestSampledIntervalErrorID(t *testing.T) {
 		t.Fatalf("interval error does not name its id: %v", ir.err)
 	}
 }
+
+// TestSampleModeAccuracy is the placement-quality gate: over the figure-9
+// plan on mcf and libquantum, phase placement must match or beat even
+// placement on max per-run IPC error against full detail, at no greater
+// detailed-simulation cost, and neither mode may err by more than 25%.
+func TestSampleModeAccuracy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	opts := Options{MeasureUops: 300_000, Benchmarks: []string{"mcf", "libquantum"}}
+	ref := NewRunner(opts)
+	plan := ref.Plan(func(r *Runner) { Figure9(r) })
+	ref.Prewarm(plan, 2)
+
+	measure := func(mode string) (maxErrPct float64, detailed uint64) {
+		o := opts
+		o.Sample = &SampleOptions{Mode: mode, Intervals: 4, WindowUops: 40_000, WarmupUops: 20_000, Workers: 1}
+		r := NewRunner(o)
+		r.Prewarm(plan, 2)
+		for _, pr := range plan {
+			got, want := r.Result(pr.Bench, pr.Config), ref.Result(pr.Bench, pr.Config)
+			if got.Sampling == nil || got.Sampling.Mode != mode {
+				t.Fatalf("%s/%s: result is not %s-sampled: %+v", pr.Bench, pr.Config.Label(), mode, got.Sampling)
+			}
+			detailed += got.Sampling.DetailedUops
+			maxErrPct = math.Max(maxErrPct, 100*math.Abs(got.IPC-want.IPC)/want.IPC)
+		}
+		t.Logf("%s: %d runs, %d detailed uops, max IPC error %.2f%%", mode, len(plan), detailed, maxErrPct)
+		return maxErrPct, detailed
+	}
+	evenErr, evenUops := measure(SampleEven)
+	phaseErr, phaseUops := measure(SamplePhase)
+
+	if phaseErr > evenErr {
+		t.Errorf("phase placement max IPC error %.2f%% exceeds even placement's %.2f%%", phaseErr, evenErr)
+	}
+	if phaseUops > evenUops {
+		t.Errorf("phase placement simulated %d detailed uops, more than even placement's %d", phaseUops, evenUops)
+	}
+	for _, m := range []struct {
+		mode string
+		err  float64
+	}{{SampleEven, evenErr}, {SamplePhase, phaseErr}} {
+		if m.err > 25 {
+			t.Errorf("%s sampling max IPC error %.2f%% is implausibly large", m.mode, m.err)
+		}
+	}
+}

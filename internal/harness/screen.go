@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -263,7 +264,7 @@ func BuildScreen(r *Runner, plan []PlannedRun, so ScreenOptions, workers int) (*
 	ranked := make([]cand, len(cands))
 	copy(ranked, cands)
 	sort.SliceStable(ranked, func(a, b int) bool {
-		da, db := abs(ranked[a].delta), abs(ranked[b].delta)
+		da, db := math.Abs(ranked[a].delta), math.Abs(ranked[b].delta)
 		if da != db {
 			return da > db
 		}
@@ -291,13 +292,6 @@ func BuildScreen(r *Runner, plan []PlannedRun, so ScreenOptions, workers int) (*
 		sc.rows = append(sc.rows, row)
 	}
 	return sc, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // WantsDetailed reports whether this pair must run on the detailed

@@ -26,6 +26,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"runaheadsim/internal/prog"
@@ -168,6 +169,29 @@ func MustLoad(name string) *prog.Program {
 		panic(err)
 	}
 	return p
+}
+
+// ParseNames parses a comma-separated list of benchmark names, as the CLIs'
+// -benchmarks and -mix flags take them. Entries are trimmed of whitespace;
+// an empty entry or an unknown name is an error naming it. An empty or
+// all-blank spec yields nil (no list given).
+func ParseNames(spec string) ([]string, error) {
+	if strings.TrimSpace(spec) == "" {
+		return nil, nil
+	}
+	parts := strings.Split(spec, ",")
+	names := make([]string, len(parts))
+	for i, part := range parts {
+		name := strings.TrimSpace(part)
+		if name == "" {
+			return nil, fmt.Errorf("empty benchmark name at position %d in %q", i+1, spec)
+		}
+		if _, ok := SpecOf(name); !ok {
+			return nil, fmt.Errorf("unknown benchmark %q (runahead-sim -list names them all)", name)
+		}
+		names[i] = name
+	}
+	return names, nil
 }
 
 // SpecOf returns the spec for a name.

@@ -238,3 +238,18 @@ func TestEquivalenceSoak(t *testing.T) {
 		})
 	}
 }
+
+func TestParseNames(t *testing.T) {
+	got, err := ParseNames(" mcf, lbm ,mcf")
+	if err != nil || len(got) != 3 || got[0] != "mcf" || got[1] != "lbm" || got[2] != "mcf" {
+		t.Fatalf("ParseNames trimmed list = %q, %v", got, err)
+	}
+	if got, err := ParseNames(""); got != nil || err != nil {
+		t.Fatalf("empty spec = %q, %v; want nil, nil", got, err)
+	}
+	for _, bad := range []string{"nosuch", "mcf,,lbm", "mcf,", ",mcf", "mcf, MCF"} {
+		if _, err := ParseNames(bad); err == nil {
+			t.Errorf("ParseNames(%q) accepted a bad list", bad)
+		}
+	}
+}
