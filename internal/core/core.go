@@ -268,11 +268,6 @@ func (c *Core) Hierarchy() *memsys.Hierarchy { return c.h }
 // Bpred returns the branch predictor (for statistics).
 func (c *Core) Bpred() *bpred.Predictor { return c.bp }
 
-// ChainCache returns the dependence chain cache (for statistics).
-func (c *Core) ChainCacheStats() (hits, misses uint64) {
-	return c.ccache.HitCount, c.ccache.MissCount
-}
-
 // Now returns the current cycle.
 func (c *Core) Now() int64 { return c.now }
 

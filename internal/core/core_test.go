@@ -300,7 +300,7 @@ func TestRunaheadPointerChaseGivesLittle(t *testing.T) {
 func TestChainCacheHitsOnRepetitiveWorkload(t *testing.T) {
 	c := New(testConfig(ModeBufferCC), gatherLoop(8))
 	c.Run(20_000)
-	hits, misses := c.ChainCacheStats()
+	hits, misses := c.ccache.HitCount, c.ccache.MissCount
 	if hits == 0 {
 		t.Fatal("chain cache never hit on a single-PC miss workload")
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"runaheadsim/internal/core"
+	"runaheadsim/internal/prog"
 	"runaheadsim/internal/workload"
 )
 
@@ -16,7 +17,9 @@ import (
 // and drain to byte-identical snapshots, hence identical Stats. The lockstep
 // tests compare cycle by cycle on synthetic programs; this covers the
 // kernels the figures are made of, in the baseline and both runahead-buffer
-// modes.
+// modes. A core resumed by NewFromArch from the interpreter's entry state
+// must match too: the harness builds every detailed run that way, full-detail
+// runs included.
 func TestReferenceKernelsRealWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential simulation is slow")
@@ -29,9 +32,8 @@ func TestReferenceKernelsRealWorkloads(t *testing.T) {
 		}
 		for _, mode := range []core.Mode{core.ModeNone, core.ModeBuffer, core.ModeBufferCC} {
 			t.Run(bench+"/"+mode.String(), func(t *testing.T) {
-				run := func(cfg core.Config) (int64, []byte) {
+				run := func(c *core.Core) (int64, []byte) {
 					t.Helper()
-					c := core.New(cfg, p)
 					c.Run(uops)
 					if err := c.Drain(); err != nil {
 						t.Fatal(err)
@@ -43,7 +45,7 @@ func TestReferenceKernelsRealWorkloads(t *testing.T) {
 					return c.Now(), snap
 				}
 				def := testConfig(mode)
-				wantNow, wantSnap := run(def)
+				wantNow, wantSnap := run(core.New(def, p))
 
 				scan := def
 				scan.Scheduler = core.SchedScan
@@ -51,9 +53,13 @@ func TestReferenceKernelsRealWorkloads(t *testing.T) {
 				tick.ClockMode = core.ClockTick
 				for _, ref := range []struct {
 					name string
-					cfg  core.Config
-				}{{"scan scheduler", scan}, {"tick clock", tick}} {
-					now, snap := run(ref.cfg)
+					mk   func() *core.Core
+				}{
+					{"scan scheduler", func() *core.Core { return core.New(scan, p) }},
+					{"tick clock", func() *core.Core { return core.New(tick, p) }},
+					{"entry-state resume", func() *core.Core { return core.NewFromArch(def, p, prog.NewInterp(p).ArchState()) }},
+				} {
+					now, snap := run(ref.mk())
 					if now != wantNow {
 						t.Errorf("%s finished at cycle %d, default machine at %d", ref.name, now, wantNow)
 					}

@@ -11,8 +11,9 @@ import (
 
 	"runaheadsim/internal/core"
 	"runaheadsim/internal/energy"
-	"runaheadsim/internal/simcheck"
+	"runaheadsim/internal/phases"
 	"runaheadsim/internal/stats"
+	"runaheadsim/internal/twin"
 	"runaheadsim/internal/workload"
 )
 
@@ -128,17 +129,17 @@ type Options struct {
 	// concurrently. telemetry.Tracker implements this interface.
 	Monitor Monitor
 
-	// Sample, when non-nil, replaces each full detailed run with the
-	// sampled-interval engine: a functional fast-forward drops periodic
-	// architectural checkpoints, detailed intervals are simulated from them
-	// (warmup + measure each), and their statistics are merged. Timelines
-	// and simcheck full-run checking are unavailable in this mode (each
-	// interval still runs the resumed-oracle checker when Check is set).
+	// Sample, when non-nil, replaces each run's one detailed window (from
+	// program entry: the run's warmup, then MeasureUops measured) with
+	// sampled windows: a functional fast-forward drops architectural
+	// checkpoints, detailed windows are simulated from them (warmup +
+	// measure each), and their statistics are merged. Timelines are
+	// unavailable in this mode; Check runs the oracle in every window.
 	Sample *SampleOptions
 
 	// TimelineInterval, when positive, attaches an interval sampler to every
-	// measured run; each Result then carries a Timeline. TimelineSamples
-	// bounds the retained ring (0 = 4096).
+	// full-detail measured run; each Result then carries a Timeline.
+	// TimelineSamples bounds the retained ring (0 = 4096).
 	TimelineInterval int64
 	TimelineSamples  int
 
@@ -207,6 +208,31 @@ type Runner struct {
 type entry struct {
 	once sync.Once
 	res  *Result
+}
+
+// profEntry holds one bench's memoized interpreter-speed passes, each
+// single-flight like a detailed run: the twin profile (once) and the phase
+// plan (planOnce). Neither depends on the configuration, so every
+// configuration of a bench shares them.
+type profEntry struct {
+	once sync.Once
+	wp   *twin.WorkloadProfile
+
+	planOnce sync.Once
+	plan     *phases.Plan
+	planErr  error
+}
+
+// profile returns the bench's profile entry, creating it on first use.
+func (r *Runner) profile(bench string) *profEntry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.profiles[bench]
+	if e == nil {
+		e = &profEntry{}
+		r.profiles[bench] = e
+	}
+	return e
 }
 
 // PlannedRun names one (benchmark, configuration) pair a set of experiments
@@ -371,70 +397,11 @@ func (r *Runner) run(bench string, rc RunConfig) *Result {
 		m.RunStart(bench, label)
 		defer m.RunDone(bench, label)
 	}
-	if r.opts.Sample != nil {
-		res, err := r.runSampled(bench, rc, spec)
-		if err != nil {
-			panic(fmt.Sprintf("harness: sampled run %s/%s: %v", bench, label, err))
-		}
-		res.Provenance = ProvenanceDetailed
-		return res
+	res, err := r.runDetailed(bench, rc, spec)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %s/%s: %v", bench, label, err))
 	}
-	cfg := r.cfgFor(rc)
-
-	p := workload.MustLoad(bench)
-	c := core.New(cfg, p)
-	defer r.dumpFlightOnPanic(c, "flight-"+bench+"-"+label)
-	var chk *simcheck.Checker
-	if r.opts.Check || simcheck.TagEnabled {
-		chk = simcheck.Attach(c, p, simcheck.Options{})
-	}
-	m := r.opts.Monitor
-	var report func(uint64)
-	if m != nil {
-		report = func(done uint64) { m.Progress(bench, label, -1, done) }
-	}
-	warmup := r.opts.warmup(spec.Class)
-	if m != nil {
-		m.Phase(bench, label, -1, "warmup", warmup)
-	}
-	chunkRun(c, warmup, report)
-	c.ResetStats()
-	var tl *stats.Timeline
-	if r.opts.TimelineInterval > 0 {
-		n := r.opts.TimelineSamples
-		if n <= 0 {
-			n = 4096
-		}
-		tl = stats.NewTimeline(r.opts.TimelineInterval, n)
-		c.SetTimeline(tl)
-	}
-	if m != nil {
-		m.Phase(bench, label, -1, "measure", r.opts.MeasureUops)
-	}
-	st := chunkRun(c, r.opts.MeasureUops, report)
-	if m != nil {
-		m.Done(bench, label, -1)
-	}
-	if chk != nil {
-		chk.Finish()
-	}
-
-	res := &Result{
-		Bench:        bench,
-		Config:       rc,
-		Stats:        st,
-		Timeline:     tl,
-		Provenance:   ProvenanceDetailed,
-		Energy:       energy.Compute(energy.DefaultParams(), energy.Measure(c)),
-		IPC:          st.IPC(),
-		MPKI:         1000 * stats.Div(float64(c.Hierarchy().LLCDemandMisses), float64(st.Committed)),
-		MemStallPct:  100 * stats.Div(float64(st.MemStallCycles), float64(st.Cycles)),
-		DRAMRequests: c.Hierarchy().TotalDRAMRequests(),
-	}
-	for _, ch := range c.CachedChains() {
-		ch := ch
-		res.Chains = append(res.Chains, ch.String())
-	}
+	res.Provenance = ProvenanceDetailed
 	return res
 }
 

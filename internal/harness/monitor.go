@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 
@@ -51,22 +50,6 @@ func chunkRun(c *core.Core, target uint64, report func(done uint64)) *core.Stats
 	st = c.Run(target)
 	report(st.Committed)
 	return st
-}
-
-// dumpFlightOnPanic is deferred around a detailed run: when the run dies it
-// writes the core's flight recorder to FlightDumpDir and rethrows with the
-// dump path appended, turning an opaque panic into an attributable event
-// trace. With no dump directory (or an empty ring) the panic passes through
-// untouched.
-func (r *Runner) dumpFlightOnPanic(c *core.Core, name string) {
-	rec := recover()
-	if rec == nil {
-		return
-	}
-	if path := writeFlightDump(r.opts.FlightDumpDir, name, c); path != "" {
-		panic(fmt.Sprintf("%v\n  (flight recorder dumped to %s)", rec, path))
-	}
-	panic(rec)
 }
 
 // writeFlightDump writes c's flight-recorder ring to dir/<name>.jsonl,

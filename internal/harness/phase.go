@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"runaheadsim/internal/isa"
 	"runaheadsim/internal/phases"
 	"runaheadsim/internal/prog"
 	"runaheadsim/internal/stats"
@@ -112,11 +113,21 @@ func SamplingTable(r *Runner) Table {
 	return t
 }
 
+// phasePlan returns the bench's phase plan, profiling it on first use. The
+// plan depends only on the bench and the runner's options, so it is
+// memoized in the bench's profile entry and every configuration of the
+// bench shares one BBV pass.
+func (r *Runner) phasePlan(bench, label string, p *prog.Program, full, measure uint64, so SampleOptions) (*phases.Plan, error) {
+	e := r.profile(bench)
+	e.planOnce.Do(func() { e.plan, e.planErr = r.profilePhases(bench, label, p, full, measure, so) })
+	return e.plan, e.planErr
+}
+
 // profilePhases is phase mode's planning pass: one functional interpretation
 // of warmup + measured region collecting a basic-block vector per grid
 // window, then deterministic clustering into phases. Reported to the Monitor
-// as a "bbv-profile" phase on the planner pseudo-interval (-1), ahead of the
-// fast-forward that streams the actual checkpoints.
+// as a "bbv-profile" phase on the planner pseudo-interval (-1) of the run
+// that asked first, ahead of that run's fast-forward.
 func (r *Runner) profilePhases(bench, label string, p *prog.Program, full, measure uint64, so SampleOptions) (pl *phases.Plan, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -145,17 +156,18 @@ func (r *Runner) profilePhases(bench, label string, p *prog.Program, full, measu
 	in.Run(full)
 	windows := make([]phases.Window, w)
 	vecs := make([]phases.Vector, w)
+	// The basic-block vector: each executed uop counts at its static block
+	// (uop-weighted block frequencies, the SimPoint form).
 	counts := make([]uint64, p.NumBlocks())
+	in.Observe = func(_ *isa.Uop, e prog.Exec) { counts[p.BlockOf[e.Index]]++ }
 	for i := 0; i < w; i++ {
 		n := step
 		if i == w-1 {
 			n = measure - step*uint64(w-1)
 		}
 		windows[i] = phases.Window{Start: full + uint64(i)*step, Len: n}
-		for j := range counts {
-			counts[j] = 0
-		}
-		in.RunBBV(n, counts)
+		clear(counts)
+		in.Run(n)
 		vecs[i] = phases.Normalize(counts)
 		if m != nil {
 			m.Progress(bench, label, -1, in.Count())

@@ -108,15 +108,47 @@ type goalMonitor struct {
 	goals []uint64
 }
 
-func (g *goalMonitor) RunStart(_, _ string)              {}
-func (g *goalMonitor) RunDone(_, _ string)               {}
+func (g *goalMonitor) RunStart(_, _ string)                  {}
+func (g *goalMonitor) RunDone(_, _ string)                   {}
 func (g *goalMonitor) Progress(_, _ string, _ int, _ uint64) {}
-func (g *goalMonitor) Done(_, _ string, _ int)           {}
+func (g *goalMonitor) Done(_, _ string, _ int)               {}
 func (g *goalMonitor) Phase(_, _ string, interval int, _ string, total uint64) {
 	if interval == -1 {
 		g.mu.Lock()
 		g.goals = append(g.goals, total)
 		g.mu.Unlock()
+	}
+}
+
+// TestBBVProfileOncePerBench checks the phase plan is memoized per bench: a
+// phase-sampled figure-9 sweep over two benches runs two BBV passes, not one
+// per (bench, configuration), and a later configuration of a profiled bench
+// reuses its plan without adding profiling time.
+func TestBBVProfileOncePerBench(t *testing.T) {
+	pl := &phaseLog{}
+	opts := Options{MeasureUops: 20_000, WarmupUops: 10_000, Benchmarks: []string{"mcf", "libquantum"}, Monitor: pl,
+		Sample: &SampleOptions{Mode: SamplePhase, Intervals: 4, WarmupUops: 5_000, WindowUops: 5_000, Workers: 1}}
+	r := NewRunner(opts)
+	plan := r.Plan(func(r *Runner) { Figure9(r) })
+	if len(plan) != 10 {
+		t.Fatalf("figure-9 plan has %d runs, want 10", len(plan))
+	}
+	r.Prewarm(plan, 2)
+	if got := pl.count("bbv-profile"); got != 2 {
+		t.Errorf("%d bbv-profile passes for %d planned runs over 2 benches, want 2", got, len(plan))
+	}
+	wall := r.ProfileWallSec()
+	if wall <= 0 {
+		t.Fatal("BBV profiling recorded no wall time")
+	}
+	if res := r.Result("mcf", Baseline.WithPF()); res.Sampling == nil || res.Sampling.Phases == 0 {
+		t.Fatalf("mcf/PF is not phase-sampled: %+v", res.Sampling)
+	}
+	if got := pl.count("bbv-profile"); got != 2 {
+		t.Errorf("a new configuration of a profiled bench re-profiled it (%d passes)", got)
+	}
+	if got := r.ProfileWallSec(); got != wall {
+		t.Errorf("reusing the memoized plan added profiling time: %v s -> %v s", wall, got)
 	}
 }
 

@@ -42,10 +42,11 @@ type SampleOptions struct {
 	// measurement, re-warming caches and predictor from the cold
 	// checkpoint state (0 = 50_000).
 	WarmupUops uint64
-	// WindowUops is the measured length of each window. 0 (or anything at
-	// least the stratum length) measures the whole region in windows —
-	// detailed-execution parity with a full run, speedup from workers
-	// only. Smaller values measure just a sample of each stratum and
+	// WindowUops is the measured length of each window. In even mode, 0
+	// (or anything at least the stratum length) measures the whole region
+	// in windows — detailed-execution parity with a full run, speedup from
+	// workers only. In phase mode, 0 measures one BBV grid window per
+	// interval. Smaller values measure just a sample of each stratum and
 	// fast-forward the rest, which is where the serial speedup comes
 	// from: detailed work drops from the full measured region to
 	// Intervals*(WarmupUops+WindowUops).
@@ -262,8 +263,8 @@ func detailedUops(plan []checkpoint) uint64 {
 
 // intervalResult carries one simulated window's counters back to the merge.
 type intervalResult struct {
-	id       int
 	st       *core.Stats
+	timeline *stats.Timeline
 	activity energy.Activity
 	llcMiss  uint64
 	dramReqs uint64
@@ -271,12 +272,13 @@ type intervalResult struct {
 	err      error
 }
 
-// runSampled approximates one full run by merging sampled detailed windows.
-// Any window that fails — a panic in the detailed core, a simcheck
-// violation, a fast-forward fault — fails the whole run, reported under the
-// lowest failing interval id.
-func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Result, error) {
-	so := *r.opts.Sample
+// runDetailed simulates one run as a plan of detailed windows and merges
+// them. Without Options.Sample the plan is one window: a checkpoint at
+// program entry, warmed for the run's warmup and measured for MeasureUops —
+// a full-detail run. Any window that fails — a panic in the detailed core, a
+// simcheck violation, a fast-forward fault — fails the whole run, reported
+// under the lowest failing interval id.
+func (r *Runner) runDetailed(bench string, rc RunConfig, spec workload.Spec) (*Result, error) {
 	cfg := r.cfgFor(rc)
 	p := workload.MustLoad(bench)
 
@@ -284,17 +286,25 @@ func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Re
 	measure := r.opts.MeasureUops
 	label := rc.Label()
 	m := r.opts.Monitor
+	sampled := r.opts.Sample != nil
+	var so SampleOptions
+	if sampled {
+		so = *r.opts.Sample
+	}
 
 	var plan []checkpoint
 	var phasePlan *phases.Plan
-	if so.phaseMode() {
-		pp, err := r.profilePhases(bench, label, p, full, measure, so)
+	switch {
+	case !sampled:
+		plan = []checkpoint{{start: full, warmup: full, measure: measure, wnum: 1, wden: 1}}
+	case so.phaseMode():
+		pp, err := r.phasePlan(bench, label, p, full, measure, so)
 		if err != nil {
 			return nil, err
 		}
 		phasePlan = pp
 		plan = planFromPhases(phasePlan, so, full+measure)
-	} else {
+	default:
 		plan = planEven(full, measure, so)
 	}
 	n := len(plan)
@@ -312,7 +322,7 @@ func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Re
 			}
 		}()
 		in := prog.NewInterp(p)
-		if m != nil {
+		if m != nil && sampled {
 			// The fast-forward's goal is the last checkpoint's position,
 			// saturating at zero when the warmup exceeds the window offset.
 			m.Phase(bench, label, -1, "fast-forward", plan[n-1].ffStart())
@@ -323,7 +333,7 @@ func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Re
 				in.Run(ff - in.Count())
 			}
 			ck.st = in.ArchState()
-			if m != nil {
+			if m != nil && sampled {
 				m.Progress(bench, label, -1, in.Count())
 			}
 			cks <- ck
@@ -332,7 +342,7 @@ func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Re
 
 	results := make([]intervalResult, n)
 	var wg sync.WaitGroup
-	for w := 0; w < so.workers(); w++ {
+	for w := 0; w < min(so.workers(), n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -372,6 +382,7 @@ func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Re
 		if len(ir.chains) > 0 {
 			res.Chains = ir.chains // keep the latest window's chains
 		}
+		res.Timeline = ir.timeline
 	}
 	// The energy model is linear in its counters, so computing it over the
 	// summed activity equals summing per-window breakdowns.
@@ -380,6 +391,9 @@ func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Re
 	res.MPKI = 1000 * stats.Div(float64(llcMisses), float64(merged.Committed))
 	res.MemStallPct = 100 * stats.Div(float64(merged.MemStallCycles), float64(merged.Cycles))
 
+	if !sampled {
+		return res, nil
+	}
 	res.Sampling = &SamplingInfo{
 		Mode:         so.Mode,
 		Intervals:    n,
@@ -397,26 +411,36 @@ func (r *Runner) runSampled(bench string, rc RunConfig, spec workload.Spec) (*Re
 	return res, nil
 }
 
-// runInterval simulates one detailed window from its checkpoint. Panics
-// (core bugs, simcheck violations) surface as errors tagged with the
-// interval id rather than killing the worker pool; a dying interval dumps
-// its flight recorder first when FlightDumpDir is set.
+// runInterval simulates one detailed window from its checkpoint: it builds
+// the core, attaches the simcheck oracle when asked, warms, resets the
+// statistics, measures, and reads the window out. In a full-detail run (no
+// Options.Sample) the one window reports to the Monitor as interval -1, and
+// carries the timeline when TimelineInterval is set. Panics (core bugs,
+// simcheck violations) surface as errors rather than killing the worker
+// pool; a dying window dumps its flight recorder first when FlightDumpDir is
+// set.
 func (r *Runner) runInterval(bench, label string, cfg core.Config, p *prog.Program, ck checkpoint) (ir intervalResult) {
-	ir.id = ck.id
+	sampled := r.opts.Sample != nil
+	iv, flight := -1, "flight-"+bench+"-"+label
+	if sampled {
+		iv, flight = ck.id, fmt.Sprintf("%s-i%d", flight, ck.id)
+	}
 	m := r.opts.Monitor
 	var c *core.Core
 	defer func() {
 		if rec := recover(); rec != nil {
 			if c != nil {
-				name := fmt.Sprintf("flight-%s-%s-i%d", bench, label, ck.id)
-				if path := writeFlightDump(r.opts.FlightDumpDir, name, c); path != "" {
+				if path := writeFlightDump(r.opts.FlightDumpDir, flight, c); path != "" {
 					rec = fmt.Sprintf("%v\n  (flight recorder dumped to %s)", rec, path)
 				}
 			}
-			ir.err = fmt.Errorf("interval %d: %v", ck.id, rec)
+			if sampled {
+				rec = fmt.Sprintf("interval %d: %v", ck.id, rec)
+			}
+			ir.err = fmt.Errorf("%v", rec)
 		}
 		if m != nil {
-			m.Done(bench, label, ck.id)
+			m.Done(bench, label, iv)
 		}
 	}()
 	c = core.NewFromArch(cfg, p, ck.st)
@@ -426,13 +450,21 @@ func (r *Runner) runInterval(bench, label string, cfg core.Config, p *prog.Progr
 	}
 	var report func(uint64)
 	if m != nil {
-		report = func(done uint64) { m.Progress(bench, label, ck.id, done) }
-		m.Phase(bench, label, ck.id, "warmup", ck.warmup)
+		report = func(done uint64) { m.Progress(bench, label, iv, done) }
+		m.Phase(bench, label, iv, "warmup", ck.warmup)
 	}
 	chunkRun(c, ck.warmup, report)
 	c.ResetStats()
+	if n := r.opts.TimelineInterval; n > 0 && !sampled {
+		samples := r.opts.TimelineSamples
+		if samples <= 0 {
+			samples = 4096
+		}
+		ir.timeline = stats.NewTimeline(n, samples)
+		c.SetTimeline(ir.timeline)
+	}
 	if m != nil {
-		m.Phase(bench, label, ck.id, "measure", ck.measure)
+		m.Phase(bench, label, iv, "measure", ck.measure)
 	}
 	ir.st = chunkRun(c, ck.measure, report)
 	if chk != nil {

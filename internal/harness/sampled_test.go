@@ -1,14 +1,21 @@
 package harness
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"runaheadsim/internal/core"
+	"runaheadsim/internal/energy"
 	"runaheadsim/internal/prog"
+	"runaheadsim/internal/stats"
 	"runaheadsim/internal/workload"
 )
 
@@ -153,7 +160,7 @@ func TestSampledMatchesFullRun(t *testing.T) {
 // detailed window is reported as an error naming its interval id instead of
 // killing the worker or being swallowed.
 func TestSampledIntervalErrorID(t *testing.T) {
-	r := NewRunner(Options{MeasureUops: 2_000})
+	r := NewRunner(Options{MeasureUops: 2_000, Sample: &SampleOptions{}})
 	p := workload.MustLoad("mcf")
 	// A checkpoint with no memory image makes the detailed core fault on
 	// its first load — a stand-in for any interval-local simulator bug.
@@ -212,5 +219,109 @@ func TestSampleModeAccuracy(t *testing.T) {
 		if m.err > 25 {
 			t.Errorf("%s sampling max IPC error %.2f%% is implausibly large", m.mode, m.err)
 		}
+	}
+}
+
+// TestFullDetailMatchesHandDrivenCore pins what a full-detail Result means:
+// the same numbers as building the core with core.New, running the warmup,
+// resetting the statistics and running the measured region by hand. Every
+// read-out is compared, the statistics as snapshot bytes.
+func TestFullDetailMatchesHandDrivenCore(t *testing.T) {
+	opts := Options{MeasureUops: 30_000, WarmupUops: 20_000}
+	r := NewRunner(opts)
+	for _, rc := range []RunConfig{Baseline, BufferCC} {
+		got := r.Result("mcf", rc)
+
+		c := core.New(configFor(rc), workload.MustLoad("mcf"))
+		c.Run(opts.WarmupUops)
+		c.ResetStats()
+		st := c.Run(opts.MeasureUops)
+		h := c.Hierarchy()
+		var chains []string
+		for _, ch := range c.CachedChains() {
+			chains = append(chains, ch.String())
+		}
+		want := &Result{
+			Energy:       energy.Compute(energy.DefaultParams(), energy.Measure(c)),
+			IPC:          st.IPC(),
+			MPKI:         1000 * stats.Div(float64(h.LLCDemandMisses), float64(st.Committed)),
+			MemStallPct:  100 * stats.Div(float64(st.MemStallCycles), float64(st.Cycles)),
+			DRAMRequests: h.TotalDRAMRequests(),
+			Chains:       chains,
+		}
+
+		if !bytes.Equal(statsBytes(t, got), statsBytes(t, &Result{Stats: st})) {
+			t.Errorf("mcf/%s: Result stats differ from the hand-driven core's", rc.Label())
+		}
+		if got.IPC != want.IPC || got.MPKI != want.MPKI || got.MemStallPct != want.MemStallPct ||
+			got.DRAMRequests != want.DRAMRequests || got.Energy != want.Energy {
+			t.Errorf("mcf/%s: read-out differs:\n got IPC %v MPKI %v stall %v DRAM %d energy %+v\nwant IPC %v MPKI %v stall %v DRAM %d energy %+v",
+				rc.Label(), got.IPC, got.MPKI, got.MemStallPct, got.DRAMRequests, got.Energy,
+				want.IPC, want.MPKI, want.MemStallPct, want.DRAMRequests, want.Energy)
+		}
+		if !reflect.DeepEqual(got.Chains, want.Chains) {
+			t.Errorf("mcf/%s: chains %q, want %q", rc.Label(), got.Chains, want.Chains)
+		}
+		if got.Sampling != nil || got.Provenance != ProvenanceDetailed {
+			t.Errorf("mcf/%s: full-detail result carries sampling %+v, provenance %q", rc.Label(), got.Sampling, got.Provenance)
+		}
+	}
+	if len(r.Result("mcf", BufferCC).Chains) == 0 {
+		t.Error("mcf/RB+CC left no chains to compare")
+	}
+}
+
+// phaseLog records every Monitor phase as "interval:phase".
+type phaseLog struct {
+	mu     sync.Mutex
+	phases []string
+}
+
+func (pl *phaseLog) RunStart(_, _ string)                  {}
+func (pl *phaseLog) RunDone(_, _ string)                   {}
+func (pl *phaseLog) Progress(_, _ string, _ int, _ uint64) {}
+func (pl *phaseLog) Done(_, _ string, _ int)               {}
+func (pl *phaseLog) Phase(_, _ string, interval int, phase string, _ uint64) {
+	pl.mu.Lock()
+	pl.phases = append(pl.phases, fmt.Sprintf("%d:%s", interval, phase))
+	pl.mu.Unlock()
+}
+
+// count returns how many times the named phase was entered, on any interval.
+func (pl *phaseLog) count(phase string) int {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	n := 0
+	for _, p := range pl.phases {
+		if strings.HasSuffix(p, ":"+phase) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFullDetailMonitorAndFlightDump pins how a full-detail run shows up
+// outside its Result: it reports to the Monitor as interval -1 with no
+// fast-forward phase, and a dying run writes flight-<bench>-<label>.jsonl
+// and names the dump in its panic.
+func TestFullDetailMonitorAndFlightDump(t *testing.T) {
+	pl := &phaseLog{}
+	NewRunner(Options{MeasureUops: 2_000, WarmupUops: 2_000, Monitor: pl}).Result("mcf", Baseline)
+	if want := []string{"-1:warmup", "-1:measure"}; !reflect.DeepEqual(pl.phases, want) {
+		t.Errorf("full-detail run reported phases %q, want %q", pl.phases, want)
+	}
+
+	dir := t.TempDir()
+	r := NewRunner(Options{MeasureUops: 2_000, WarmupUops: 2_000, WatchdogCycles: 50, FlightDumpDir: dir})
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		r.Result("mcf", Baseline)
+		return ""
+	}()
+	if !strings.Contains(msg, "watchdog") || !strings.Contains(msg, "flight recorder dumped to") {
+		t.Fatalf("dying run panicked with %q, want a watchdog trip naming its flight dump", msg)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "flight-mcf-Base.jsonl")); err != nil || fi.Size() == 0 {
+		t.Fatalf("flight dump missing or empty: %v", err)
 	}
 }

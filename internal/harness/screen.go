@@ -24,23 +24,11 @@ func (r *Runner) SetScreen(sc *Screen) {
 	r.mu.Unlock()
 }
 
-// profEntry is one memoized workload profile; once gates the single build.
-type profEntry struct {
-	once sync.Once
-	wp   *twin.WorkloadProfile
-}
-
 // twinProfile returns the memoized interpreter-speed profile for a bench
 // (single-flight, like detailed runs). Warmup and measure lengths mirror the
 // detailed runs so calibration compares like with like.
 func (r *Runner) twinProfile(bench string) *twin.WorkloadProfile {
-	r.mu.Lock()
-	e := r.profiles[bench]
-	if e == nil {
-		e = &profEntry{}
-		r.profiles[bench] = e
-	}
-	r.mu.Unlock()
+	e := r.profile(bench)
 	e.once.Do(func() {
 		spec, ok := workload.SpecOf(bench)
 		if !ok {

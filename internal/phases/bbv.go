@@ -9,7 +9,7 @@
 // are iterated, no randomness is consulted (centroid seeding is a maximin
 // farthest-point walk from window zero), and every tie — nearest centroid,
 // representative choice, BIC score — breaks toward the lowest index. Two
-// runs over the same program produce byte-identical plans, which the
+// runs over the same program produce identical plans, which the
 // clustering-determinism CI test pins.
 package phases
 

@@ -1,7 +1,6 @@
 package phases
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -36,8 +35,12 @@ func TestBuildRecoversPlantedPhases(t *testing.T) {
 	if p.K() < 3 || p.K() > 6 {
 		t.Fatalf("BIC chose k=%d, want 3..6", p.K())
 	}
-	if got := p.TotalWeight(); got != 24_000 {
-		t.Fatalf("total weight %d, want 24000", got)
+	var total uint64
+	for _, ph := range p.Phases {
+		total += ph.Weight
+	}
+	if total != 24_000 {
+		t.Fatalf("total weight %d, want 24000", total)
 	}
 	// Every member of a phase must share the planted behavior of its
 	// representative.
@@ -96,29 +99,17 @@ func TestForceKOverride(t *testing.T) {
 }
 
 // TestDeterministicClustering pins the bit-identity guarantee: repeated
-// clustering over the same vectors yields byte-identical encoded plans.
+// clustering over the same vectors yields identical plans.
 func TestDeterministicClustering(t *testing.T) {
 	wins, vecs := synth(32, 4, 10, 750)
-	ref := Build(wins, vecs, 8, 0).Encode()
+	ref := Build(wins, vecs, 8, 0)
 	for i := 0; i < 5; i++ {
 		// Re-derive the inputs from scratch too, so incidental slice aliasing
 		// can't mask a dependence on allocation order.
 		w2, v2 := synth(32, 4, 10, 750)
-		if got := Build(w2, v2, 8, 0).Encode(); !bytes.Equal(got, ref) {
-			t.Fatalf("run %d: encoded plan differs from first run", i)
+		if got := Build(w2, v2, 8, 0); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("run %d: plan differs from first run:\n got %+v\nwant %+v", i, got, ref)
 		}
-	}
-}
-
-func TestPlanEncodeDecodeRoundTrip(t *testing.T) {
-	wins, vecs := synth(20, 3, 7, 640)
-	p := Build(wins, vecs, 6, 0)
-	back, err := DecodePlan(p.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p, back) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, p)
 	}
 }
 

@@ -1,11 +1,6 @@
 package phases
 
-import (
-	"fmt"
-	"math"
-
-	"runaheadsim/internal/snapshot"
-)
+import "fmt"
 
 // Phase is one behavior cluster of the measured region. Its representative
 // window is simulated in detail and stands in for every member window,
@@ -25,13 +20,10 @@ type Plan struct {
 	Phases  []Phase
 }
 
-// PlanKind is the snapshot container kind for a serialized Plan.
-const PlanKind = "phaseplan"
-
 // Build runs phase analysis over per-window BBVs. vecs[i] is the normalized
 // basic-block vector of windows[i]; maxK caps the BIC search and forceK,
 // when positive, pins the phase count (the -phases override). The returned
-// plan is deterministic: same inputs, same bytes.
+// plan is deterministic: same inputs, same plan.
 func Build(windows []Window, vecs []Vector, maxK, forceK int) *Plan {
 	if len(windows) != len(vecs) {
 		panic(fmt.Sprintf("phases: %d windows but %d vectors", len(windows), len(vecs)))
@@ -112,15 +104,6 @@ func centroidOf(vecs []Vector, members []int) Vector {
 // K returns the number of phases.
 func (p *Plan) K() int { return len(p.Phases) }
 
-// TotalWeight returns the uops the plan covers (the measured region length).
-func (p *Plan) TotalWeight() uint64 {
-	var w uint64
-	for _, ph := range p.Phases {
-		w += ph.Weight
-	}
-	return w
-}
-
 // AvgDispersion returns the uop-weighted mean Manhattan distance of windows
 // to their phase centroid across the whole plan — the [0, 2] dissimilarity
 // the sampling confidence intervals feed on.
@@ -135,80 +118,4 @@ func (p *Plan) AvgDispersion() float64 {
 		return 0
 	}
 	return sum / float64(w)
-}
-
-// Encode serializes the plan into a self-verifying snapshot container, so a
-// sweep can archive the sampling decision next to its checkpoints and a
-// later run can verify it reproduced the same plan bit-for-bit.
-func (p *Plan) Encode() []byte {
-	w := &snapshot.Writer{}
-	w.Mark("phases")
-	w.Int(len(p.Windows))
-	for _, win := range p.Windows {
-		w.U64(win.Start)
-		w.U64(win.Len)
-	}
-	w.Int(len(p.Assign))
-	for _, a := range p.Assign {
-		w.Int(a)
-	}
-	w.Int(len(p.Phases))
-	for _, ph := range p.Phases {
-		w.Int(ph.Rep)
-		w.Int(len(ph.Members))
-		for _, m := range ph.Members {
-			w.Int(m)
-		}
-		w.U64(ph.Weight)
-		w.U64(math.Float64bits(ph.AvgDist))
-	}
-	return snapshot.Encode(PlanKind, w.Bytes())
-}
-
-// DecodePlan reads a plan container produced by Encode.
-func DecodePlan(data []byte) (*Plan, error) {
-	payload, err := snapshot.Decode(data, PlanKind)
-	if err != nil {
-		return nil, err
-	}
-	r := snapshot.NewReader(payload)
-	r.Expect("phases")
-	p := &Plan{}
-	n := r.Int()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	p.Windows = make([]Window, n)
-	for i := range p.Windows {
-		p.Windows[i].Start = r.U64()
-		p.Windows[i].Len = r.U64()
-	}
-	n = r.Int()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	p.Assign = make([]int, n)
-	for i := range p.Assign {
-		p.Assign[i] = r.Int()
-	}
-	n = r.Int()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	p.Phases = make([]Phase, n)
-	for i := range p.Phases {
-		ph := &p.Phases[i]
-		ph.Rep = r.Int()
-		m := r.Int()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		ph.Members = make([]int, m)
-		for j := range ph.Members {
-			ph.Members[j] = r.Int()
-		}
-		ph.Weight = r.U64()
-		ph.AvgDist = math.Float64frombits(r.U64())
-	}
-	return p, r.Err()
 }

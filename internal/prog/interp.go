@@ -24,6 +24,13 @@ type Interp struct {
 	Mem  *Memory
 	Regs [isa.NumArchRegs]int64
 
+	// Observe, when non-nil, is called after every executed uop with the
+	// static uop and its architectural effects. Profilers layer functional
+	// models on it — basic-block vectors, caches, branch predictors,
+	// dataflow schedules; the architectural outcome is the same with or
+	// without it.
+	Observe func(u *isa.Uop, e Exec)
+
 	pc    int // current uop index
 	count uint64
 }
@@ -91,23 +98,15 @@ func (in *Interp) Step() Exec {
 	in.pc = next
 	e.NextPC = in.P.AddrOf(next)
 	in.count++
+	if in.Observe != nil {
+		in.Observe(u, e)
+	}
 	return e
 }
 
 // Run executes n uops.
 func (in *Interp) Run(n uint64) {
 	for i := uint64(0); i < n; i++ {
-		in.Step()
-	}
-}
-
-// RunBBV executes n uops like Run while accumulating a basic-block vector:
-// each executed uop increments counts at its static block id (uop-weighted
-// block frequencies, the SimPoint form). counts must have one slot per
-// program block; the architectural outcome is identical to Run(n).
-func (in *Interp) RunBBV(n uint64, counts []uint64) {
-	for i := uint64(0); i < n; i++ {
-		counts[in.P.BlockOf[in.pc]]++
 		in.Step()
 	}
 }

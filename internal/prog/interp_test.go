@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"slices"
 	"testing"
 
 	"runaheadsim/internal/isa"
@@ -264,23 +265,72 @@ func TestInterpDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunBBVMatchesRun checks the BBV collection path is architecturally
-// invisible (same registers, memory, and position as plain Run) and that
-// the accumulated counts attribute every executed uop to a valid block.
+// TestRunObserver checks the one run loop: with or without an observer, and
+// in one call or several, Run leaves the interpreter exactly where stepping
+// does (registers, memory, position), and an observer sees every executed
+// uop, in order, with its static uop and the effects Step reports.
+func TestRunObserver(t *testing.T) {
+	const n = 300
+	p, _ := sumProgram(t, 16)
+	ref := NewInterp(p)
+	want := make([]Exec, n)
+	for i := range want {
+		want[i] = ref.Step()
+	}
+	for _, tc := range []struct {
+		name    string
+		observe bool
+		chunks  uint64
+	}{
+		{"plain", false, 1},
+		{"observed", true, 1},
+		{"observed in chunks", true, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := NewInterp(p)
+			var seen []Exec
+			if tc.observe {
+				in.Observe = func(u *isa.Uop, e Exec) {
+					if u != &p.Uops[e.Index] {
+						t.Fatalf("uop %d: observer got static uop %p, want %p", len(seen), u, &p.Uops[e.Index])
+					}
+					seen = append(seen, e)
+				}
+			}
+			for i := uint64(0); i < tc.chunks; i++ {
+				in.Run(n / tc.chunks)
+			}
+			if in.Regs != ref.Regs || !in.Mem.Equal(ref.Mem) {
+				t.Fatal("Run diverged from stepping in registers or memory")
+			}
+			if in.pc != ref.pc || in.count != ref.count {
+				t.Fatalf("Run position (%d, %d) != stepped position (%d, %d)", in.pc, in.count, ref.pc, ref.count)
+			}
+			if tc.observe && !slices.Equal(seen, want) {
+				t.Fatalf("observer saw %d uops that differ from the %d stepped", len(seen), len(want))
+			}
+		})
+	}
+}
+
+// TestRunBBVMatchesRun checks that collecting a basic-block vector through
+// the observer is architecturally transparent and attributes every executed
+// uop to exactly one block.
 func TestRunBBVMatchesRun(t *testing.T) {
 	p, _ := sumProgram(t, 16)
 	plain, bbv := NewInterp(p), NewInterp(p)
 	plain.Run(300)
 	counts := make([]uint64, p.NumBlocks())
-	bbv.RunBBV(300, counts)
+	bbv.Observe = func(_ *isa.Uop, e Exec) { counts[p.BlockOf[e.Index]]++ }
+	bbv.Run(300)
 	if plain.Regs != bbv.Regs {
-		t.Fatal("RunBBV diverged from Run in registers")
+		t.Fatal("BBV collection diverged from Run in registers")
 	}
 	if !plain.Mem.Equal(bbv.Mem) {
-		t.Fatal("RunBBV diverged from Run in memory")
+		t.Fatal("BBV collection diverged from Run in memory")
 	}
 	if plain.pc != bbv.pc || plain.count != bbv.count {
-		t.Fatalf("RunBBV position (%d, %d) != Run position (%d, %d)", bbv.pc, bbv.count, plain.pc, plain.count)
+		t.Fatalf("BBV position (%d, %d) != Run position (%d, %d)", bbv.pc, bbv.count, plain.pc, plain.count)
 	}
 	var total uint64
 	for _, c := range counts {
@@ -288,5 +338,57 @@ func TestRunBBVMatchesRun(t *testing.T) {
 	}
 	if total != 300 {
 		t.Fatalf("BBV counts sum to %d, want 300 (every uop attributed exactly once)", total)
+	}
+}
+
+// TestRunProfileMatchesRun checks that an instruction-mix profile taken
+// through the observer is architecturally transparent and agrees with an
+// independent per-step classification.
+func TestRunProfileMatchesRun(t *testing.T) {
+	const n = 200
+	p, _ := sumProgram(t, 10)
+	type mix struct{ uops, loads, stores, branches, cond, taken uint64 }
+	tally := func(m *mix, u *isa.Uop, e Exec) {
+		m.uops++
+		switch {
+		case u.Op.IsLoad():
+			m.loads++
+		case u.Op.IsStore():
+			m.stores++
+		case u.Op.IsBranch():
+			m.branches++
+			if u.Op.IsConditional() {
+				m.cond++
+			}
+			if e.Taken {
+				m.taken++
+			}
+		}
+	}
+
+	ref := NewInterp(p)
+	ref.Run(n)
+
+	in := NewInterp(p)
+	var got mix
+	in.Observe = func(u *isa.Uop, e Exec) { tally(&got, u, e) }
+	in.Run(n)
+	if in.pc != ref.pc || in.count != ref.count || in.Regs != ref.Regs || !in.Mem.Equal(ref.Mem) {
+		t.Fatalf("profiled Run diverged from Run: pc %d vs %d, count %d vs %d",
+			in.pc, ref.pc, in.count, ref.count)
+	}
+
+	// Recount by stepping a third interpreter with no observer.
+	chk := NewInterp(p)
+	var want mix
+	for i := 0; i < n; i++ {
+		u := &p.Uops[chk.pc]
+		tally(&want, u, chk.Step())
+	}
+	if got != want {
+		t.Fatalf("observed mix %+v, want %+v", got, want)
+	}
+	if got.loads == 0 || got.branches == 0 || got.stores == 0 {
+		t.Fatalf("sum program should exercise loads, stores and branches: %+v", got)
 	}
 }

@@ -86,13 +86,13 @@ type Point struct {
 // under one runahead mode.
 func PointFrom(wp *WorkloadProfile, m Machine, mode core.Mode, class string) Point {
 	w := float64(m.IssueWidth)
-	ideal := float64(wp.Prof.Uops) / w
+	ideal := float64(wp.Mix.Uops) / w
 	if cp := float64(wp.CPNoDRAM); cp > ideal {
 		ideal = cp
 	}
 	x := make([]float64, NumFeatures)
 	x[FIdeal] = ideal
-	x[FTaken] = float64(wp.Prof.TakenBranches)
+	x[FTaken] = float64(wp.Mix.TakenBranches)
 	x[FMispred] = float64(wp.Mispredicts) * float64(m.BranchPenalty)
 	x[FLLC] = float64(wp.LLCHitLoads) * float64(m.LLCLat)
 	x[FDRAM] = float64(wp.Clusters) * float64(m.DRAMLat)
@@ -108,11 +108,11 @@ func PointFrom(wp *WorkloadProfile, m Machine, mode core.Mode, class string) Poi
 		x[FCov] = float64(cov) * float64(m.DRAMLat)
 		x[FRAOver] = float64(wp.Clusters)
 	}
-	x[FBias] = float64(wp.Prof.Uops) / 1000
+	x[FBias] = float64(wp.Mix.Uops) / 1000
 
 	ex := make([]float64, NumEnergyFeatures)
-	ex[EUops] = float64(wp.Prof.Uops)
-	ex[EL1] = float64(wp.Prof.Loads + wp.Prof.Stores)
+	ex[EUops] = float64(wp.Mix.Uops)
+	ex[EL1] = float64(wp.Mix.Loads + wp.Mix.Stores)
 	ex[ELLC] = float64(wp.LLCHitLoads + wp.DRAMLoads + wp.LLCHitStores + wp.DRAMStores)
 	ex[EDRAM] = float64(wp.DRAMLoads + wp.DRAMStores + wp.Writebacks)
 	if mode != core.ModeNone {
@@ -125,7 +125,7 @@ func PointFrom(wp *WorkloadProfile, m Machine, mode core.Mode, class string) Poi
 		Mode:      mode,
 		X:         x,
 		EX:        ex,
-		Uops:      wp.Prof.Uops,
+		Uops:      wp.Mix.Uops,
 		DRAMLoads: wp.DRAMLoads,
 	}
 }

@@ -20,8 +20,8 @@ type WorkloadProfile struct {
 	Bench           string
 	Warmup, Measure uint64
 
-	Prof        prog.Profile // measured-region instruction mix
-	Mispredicts uint64       // functional hybrid-predictor direction misses
+	Mix         Mix    // measured-region instruction mix
+	Mispredicts uint64 // functional hybrid-predictor direction misses
 
 	// Demand-load miss counts by deepest level (measured region).
 	LLCHitLoads uint64 // L1D miss, LLC hit
@@ -55,12 +55,54 @@ type WorkloadProfile struct {
 	CPFull, CPNoDRAM int64
 }
 
+// Mix is the architectural mix of an interpreted uop stream: the
+// instruction-class counts every first-order performance model starts from.
+type Mix struct {
+	Uops   uint64
+	Loads  uint64
+	Stores uint64
+
+	Branches      uint64 // all control uops
+	CondBranches  uint64
+	TakenBranches uint64 // taken control uops (conditional or not)
+
+	// LongLatUops counts non-memory uops whose execution latency exceeds one
+	// cycle (multiplies, divides, floating point); ExecLatCycles sums their
+	// latencies. Together they bound the execution-latency component of a
+	// dataflow-limited region.
+	LongLatUops   uint64
+	ExecLatCycles uint64
+}
+
+func (m *Mix) note(u *isa.Uop, e Exec) {
+	m.Uops++
+	switch {
+	case u.Op.IsLoad():
+		m.Loads++
+	case u.Op.IsStore():
+		m.Stores++
+	case u.Op.IsBranch():
+		m.Branches++
+		if u.Op.IsConditional() {
+			m.CondBranches++
+		}
+		if e.Taken {
+			m.TakenBranches++
+		}
+	default:
+		if lat := u.Op.ExecLatency(); lat > 1 {
+			m.LongLatUops++
+			m.ExecLatCycles += uint64(lat)
+		}
+	}
+}
+
 type missRec struct {
 	pos    uint64 // committed-uop position within the measured region
 	static int32  // static uop index of the load
 }
 
-// profiler drives the functional models under the interpreter hook.
+// profiler drives the functional models from the interpreter's observer.
 type profiler struct {
 	m   Machine
 	l1d *cache.Cache
@@ -94,20 +136,24 @@ func BuildProfile(bench string, p *prog.Program, m Machine, warmup, measure uint
 		memReady: make(map[uint64][2]int64),
 	}
 	in := prog.NewInterp(p)
-	var warmProf prog.Profile
-	in.RunProfile(warmup, &warmProf, pr.step)
+	in.Observe = pr.step
+	in.Run(warmup)
 	pr.rec = true
 	cpBase := pr.cpMax
-	in.RunProfile(measure, &wp.Prof, pr.step)
+	in.Run(measure)
 	wp.CPFull = pr.cpMax[0] - cpBase[0]
 	wp.CPNoDRAM = pr.cpMax[1] - cpBase[1]
 	pr.clusterMisses()
 	return wp
 }
 
-// step is the per-uop hook: functional branch prediction, functional cache
-// walk, and the dataflow virtual schedule.
+// step is the per-uop observer: the instruction mix (measured region only),
+// functional branch prediction, functional cache walk, and the dataflow
+// virtual schedule.
 func (pr *profiler) step(u *isa.Uop, e Exec) {
+	if pr.rec {
+		pr.wp.Mix.note(u, e)
+	}
 	var lat [2]int64
 	switch {
 	case u.Op.IsLoad():
@@ -143,7 +189,7 @@ func (pr *profiler) load(e Exec) [2]int64 {
 	pr.fillLLC(line)
 	pr.fillL1(line)
 	if pr.rec {
-		pr.misses = append(pr.misses, missRec{pos: pr.wp.Prof.Uops, static: int32(e.Index)})
+		pr.misses = append(pr.misses, missRec{pos: pr.wp.Mix.Uops, static: int32(e.Index)})
 		pr.wp.DRAMLoads++
 	}
 	return [2]int64{pr.m.DRAMLat, pr.m.LLCLat}

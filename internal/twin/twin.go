@@ -10,16 +10,16 @@
 //	             intervals, DRAM-miss intervals (MLP-adjusted), serialized
 //	             DRAM chains, runahead coverage, runahead overhead, bias ]
 //
-// Inputs come from one interpreter-speed profiling pass per workload
-// (prog.Interp.RunProfile driving functional L1D/LLC tag arrays, the real
-// branch predictor tables, and a dataflow virtual schedule), plus structural
-// machine parameters extracted from the core configuration. The per-term
-// coefficients θ are *fitted* against detailed runs by the calibration loop
-// (calibrate.go) rather than derived from first principles: calibration
-// absorbs everything the first-order terms cannot see (issue contention,
-// partial overlap, prefetch-like wrong-path effects), and the residual it
-// cannot absorb is reported as per-workload/per-config MAPE and Pearson-r —
-// the uncertainty the screening tier promotes on.
+// Inputs come from one interpreter-speed profiling pass per workload (an
+// observer on prog.Interp.Run driving functional L1D/LLC tag arrays, the
+// real branch predictor tables, and a dataflow virtual schedule), plus
+// structural machine parameters extracted from the core configuration. The
+// per-term coefficients θ are *fitted* against detailed runs by the
+// calibration loop (calibrate.go) rather than derived from first principles:
+// calibration absorbs everything the first-order terms cannot see (issue
+// contention, partial overlap, prefetch-like wrong-path effects), and the
+// residual it cannot absorb is reported as per-workload/per-config MAPE and
+// Pearson-r — the uncertainty the screening tier promotes on.
 //
 // Known limits, by construction: the profile is configuration-independent,
 // so configurations that change cache contents or miss counts (hardware

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"runaheadsim/internal/core"
+	"runaheadsim/internal/isa"
+	"runaheadsim/internal/prog"
 	"runaheadsim/internal/workload"
 )
 
@@ -22,8 +24,8 @@ func TestBuildProfileDeterministic(t *testing.T) {
 	if *a != *b {
 		t.Fatalf("profiles differ:\n%+v\n%+v", a, b)
 	}
-	if a.Prof.Uops != 30_000 {
-		t.Fatalf("measured uops = %d, want 30000", a.Prof.Uops)
+	if a.Mix.Uops != 30_000 {
+		t.Fatalf("measured uops = %d, want 30000", a.Mix.Uops)
 	}
 	if a.DRAMLoads == 0 || a.Clusters == 0 {
 		t.Fatalf("mcf should miss to DRAM in the measured window: %+v", a)
@@ -181,5 +183,26 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 	if _, err := Load(path, 0xdeadbeef); err == nil {
 		t.Fatal("fingerprint mismatch must refuse to load")
+	}
+}
+
+// TestMixCountsClasses checks the instruction-mix tally the profiling
+// observer keeps: loads, stores, conditional and taken branches, and
+// long-latency ALU ops with their latencies, over the measured region only.
+func TestMixCountsClasses(t *testing.T) {
+	b := prog.NewBuilder("mix")
+	buf := b.Alloc(64, 64)
+	init := b.Block("init")
+	init.Movi(1, 7).Movi(2, 3).Movi(5, int64(buf))
+	loop := b.Block("loop")
+	loop.Ld(6, 5, 0).St(5, 8, 6).Op(isa.MUL, 3, 1, 2).Op(isa.DIV, 4, 1, 2).Bnez(1, loop)
+	p := b.MustBuild()
+
+	// Warm up over init and one loop iteration, then measure two iterations.
+	wp := BuildProfile("mix", p, testMachine(), 3+5, 2*5)
+	want := Mix{Uops: 10, Loads: 2, Stores: 2, Branches: 2, CondBranches: 2, TakenBranches: 2,
+		LongLatUops: 4, ExecLatCycles: uint64(2 * (isa.MUL.ExecLatency() + isa.DIV.ExecLatency()))}
+	if wp.Mix != want {
+		t.Fatalf("mix %+v, want %+v", wp.Mix, want)
 	}
 }
