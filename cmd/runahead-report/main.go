@@ -47,7 +47,7 @@ func main() {
 		sMode     = flag.String("sample-mode", "even", "sampled window placement: \"even\" (evenly spaced) or \"phase\" (BBV clustering, one weighted window per phase)")
 		intervals = flag.Int("intervals", 4, "detailed intervals per sampled run (with -sample); in phase mode, the cap on the phase count")
 		sWindow   = flag.Uint64("sample-window", 0, "measured uops per sampled interval (0 = in even mode the whole region, split; in phase mode one BBV grid window)")
-		sWarmup   = flag.Uint64("sample-warmup", 0, "detailed warmup uops per sampled interval (0 = 50000)")
+		sWarmup   = flag.Uint64("sample-warmup", 0, "detailed warmup uops per sampled interval, after the functional warming of caches and predictor (0 = 10000)")
 		sPhases   = flag.Int("phases", 0, "pin the phase count in -sample-mode=phase (0 = choose by BIC)")
 		sBBV      = flag.Int("bbv-windows", 0, "BBV profiling windows in -sample-mode=phase (0 = 32)")
 

@@ -51,7 +51,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		sMode     = fs.String("sample-mode", "even", "sampled window placement: \"even\" (evenly spaced) or \"phase\" (BBV clustering, one weighted window per phase)")
 		intervals = fs.Int("intervals", 4, "detailed intervals per sampled run (with -sample); in phase mode, the cap on the phase count")
 		sWindow   = fs.Uint64("sample-window", 0, "measured uops per sampled interval (0 = in even mode the whole region, split; in phase mode one BBV grid window)")
-		sWarmup   = fs.Uint64("sample-warmup", 0, "detailed warmup uops per sampled interval (0 = 50000)")
+		sWarmup   = fs.Uint64("sample-warmup", 0, "detailed warmup uops per sampled interval, after the functional warming of caches and predictor (0 = 10000)")
 		sPhases   = fs.Int("phases", 0, "pin the phase count in -sample-mode=phase (0 = choose by BIC)")
 		sBBV      = fs.Int("bbv-windows", 0, "BBV profiling windows in -sample-mode=phase (0 = 32)")
 		cores     = fs.Int("cores", 1, "multi-programmed mode: cores sharing one LLC+DRAM (2-8; 1 = normal single-core sweep)")

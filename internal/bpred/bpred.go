@@ -6,6 +6,8 @@
 // exit, exactly the state the paper says runahead must checkpoint.
 package bpred
 
+import "runaheadsim/internal/isa"
+
 // Config sizes the predictor structures. All table sizes must be powers of
 // two.
 type Config struct {
@@ -193,6 +195,64 @@ func (p *Predictor) LookupBTB(pc uint64) (uint64, bool) {
 func (p *Predictor) UpdateBTB(pc, target uint64) {
 	e := &p.btb[(pc>>3)&uint64(p.cfg.BTBEntries-1)]
 	e.tag, e.target, e.valid = pc, target, true
+}
+
+// Train applies one correct-path branch to the predictor the way the
+// detailed core does between predicting it at fetch and resolving it: a
+// conditional branch predicts, trains the tables under the history that
+// produced the prediction, and on a direction mispredict repairs the history
+// to the actual outcome; an unconditional branch shifts in a taken bit; CALL
+// pushes its return address and RET pops one; every taken branch but RET
+// writes its target into the BTB. next is the branch's correct-path
+// successor. Train reports whether a conditional branch's direction was
+// mispredicted.
+func (p *Predictor) Train(op isa.Opcode, pc, next uint64, taken bool) bool {
+	mispred := false
+	switch op {
+	case isa.JMP, isa.CALL:
+		p.NoteUnconditional()
+		if op == isa.CALL {
+			p.ras.Push(pc + isa.UopBytes)
+		}
+	case isa.RET:
+		p.NoteUnconditional()
+		p.ras.Pop()
+	default:
+		pr := p.PredictDirection(pc)
+		p.Resolve(pc, pr, taken)
+		if pr.Taken != taken {
+			mispred = true
+			p.RepairHistory(pr.GHRBefore, taken)
+		}
+	}
+	if taken && op != isa.RET {
+		p.UpdateBTB(pc, next)
+	}
+	return mispred
+}
+
+// CopyFrom overwrites p's tables, history, BTB and RAS with src's, leaving
+// p's statistics alone. It is how a functionally trained predictor is
+// installed into a detailed core; the two must share a configuration.
+func (p *Predictor) CopyFrom(src *Predictor) {
+	if src.cfg != p.cfg {
+		panic("bpred: copying a predictor of a different configuration")
+	}
+	copy(p.bimodal, src.bimodal)
+	copy(p.gshare, src.gshare)
+	copy(p.chooser, src.chooser)
+	p.ghr = src.ghr
+	copy(p.btb, src.btb)
+	copy(p.ras.entries, src.ras.entries)
+	p.ras.top, p.ras.depth = src.ras.top, src.ras.depth
+}
+
+// Clone returns an independent copy of p's tables, history, BTB and RAS,
+// with zeroed statistics.
+func (p *Predictor) Clone() *Predictor {
+	c := New(p.cfg)
+	c.CopyFrom(p)
+	return c
 }
 
 // RAS returns the predictor's return address stack.

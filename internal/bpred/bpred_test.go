@@ -3,6 +3,8 @@ package bpred
 import (
 	"testing"
 	"testing/quick"
+
+	"runaheadsim/internal/isa"
 )
 
 func newTest() *Predictor {
@@ -210,5 +212,46 @@ func TestNoAliasingForAdjacentPCs(t *testing.T) {
 	}
 	if pr := p.PredictDirection(pcB); pr.Taken {
 		t.Fatal("pcB should predict not-taken")
+	}
+}
+
+// TestTrainCallRetAndCopy checks the correct-path training of unconditional
+// branches — CALL pushes its return address and writes the BTB, RET pops and
+// leaves the BTB alone, both shift a taken bit — and that Clone (through
+// CopyFrom) carries tables, history, BTB and RAS but no statistics.
+func TestTrainCallRetAndCopy(t *testing.T) {
+	p := newTest()
+	call, fn := uint64(0x400100), uint64(0x400800)
+	ret := fn + 3*isa.UopBytes
+	if p.Train(isa.CALL, call, fn, true) {
+		t.Fatal("an unconditional branch reported a direction mispredict")
+	}
+	if tgt, ok := p.LookupBTB(call); !ok || tgt != fn {
+		t.Fatalf("BTB after CALL: %#x, %v; want %#x", tgt, ok, fn)
+	}
+	p.Train(isa.RET, ret, call+isa.UopBytes, true)
+	if _, ok := p.LookupBTB(ret); ok {
+		t.Fatal("RET wrote the BTB")
+	}
+	if p.GHR()&3 != 3 {
+		t.Fatalf("history %b: CALL and RET must each shift in a taken bit", p.GHR())
+	}
+	p.Train(isa.CALL, call, fn, true)
+	for i := 0; i < 20; i++ {
+		p.Train(isa.BNEZ, 0x400200, 0x400180, true)
+	}
+
+	q := p.Clone()
+	if q.Lookups != 0 || q.Mispredicts != 0 || q.BTBMisses != 0 {
+		t.Fatalf("Clone copied statistics: %d lookups, %d mispredicts, %d BTB misses", q.Lookups, q.Mispredicts, q.BTBMisses)
+	}
+	if q.GHR() != p.GHR() {
+		t.Fatalf("history %b, want %b", q.GHR(), p.GHR())
+	}
+	if got := q.RAS().Pop(); got != call+isa.UopBytes {
+		t.Fatalf("copied RAS pops %#x, want %#x", got, call+isa.UopBytes)
+	}
+	if !q.PredictDirection(0x400200).Taken {
+		t.Fatal("copied tables forgot a trained always-taken branch")
 	}
 }

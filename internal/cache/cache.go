@@ -206,3 +206,17 @@ func (c *Cache) PrefetchResident(addr uint64) bool {
 	}
 	return false
 }
+
+// CopyFrom overwrites c's tag array with src's — tags, valid, dirty and
+// prefetch bits, and LRU stamps — leaving c's statistics alone. It is how a
+// functionally warmed array is installed into a timed hierarchy; the two
+// must share a geometry.
+func (c *Cache) CopyFrom(src *Cache) {
+	if src.cfg.SizeBytes != c.cfg.SizeBytes || src.cfg.Ways != c.cfg.Ways || src.cfg.LineBytes != c.cfg.LineBytes {
+		panic(fmt.Sprintf("cache: copying %q geometry into %q", src.cfg.Name, c.cfg.Name))
+	}
+	for i := range c.sets {
+		copy(c.sets[i], src.sets[i])
+	}
+	c.stamp = src.stamp
+}

@@ -68,11 +68,12 @@ const (
 	// zero for k=1), while sampling error below a few percent is
 	// indistinguishable from warmup noise anyway.
 	ciFloorRel = 0.03
-	// ciTransientUops is the empirical cold-start transient scale. Every
-	// detailed window re-warms microarchitectural state for WarmupUops, but
-	// the deep structures (chain cache, runahead intervals in flight)
-	// carry a residual transient on the order of a couple thousand uops
-	// that biases every window the same way — invisible to the jackknife,
+	// ciTransientUops is the empirical start-up transient scale. Every
+	// detailed window starts with functionally warmed caches and predictor
+	// and refills the rest for WarmupUops, but the deep structures (chain
+	// cache, runahead intervals in flight, DRAM row buffers) carry a
+	// residual transient on the order of a couple thousand uops that
+	// biases every window the same way — invisible to the jackknife,
 	// shrinking inversely with the measured window length. Calibrated so
 	// the full-detail IPC of the seed kernels lands inside the interval
 	// from 15k-uop windows (where the engine's error peaks near its

@@ -265,7 +265,8 @@ func TestPlanFromPhasesUniformCollapse(t *testing.T) {
 
 // TestPhaseSampledWithinCI is the weighted-merge property test: on seed
 // kernels, the phase-weighted IPC reproduces the full-detail IPC within the
-// reported confidence interval.
+// reported confidence interval. Windows start from the fast-forward's
+// functionally warmed caches and predictor.
 func TestPhaseSampledWithinCI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -276,7 +277,10 @@ func TestPhaseSampledWithinCI(t *testing.T) {
 	popts.Sample = &SampleOptions{Mode: SamplePhase, Intervals: 4, WarmupUops: 20_000, WindowUops: 15_000, Workers: 4}
 	phase := NewRunner(popts)
 
-	for _, bench := range []string{"mcf", "libquantum"} {
+	// gcc and h264 are the cold-start regression: their footprints and
+	// branch history outlive a short detailed warmup, so windows restored
+	// from cold checkpoints measured them well outside the interval.
+	for _, bench := range []string{"mcf", "libquantum", "gcc", "h264"} {
 		for _, rc := range []RunConfig{Baseline, BufferCC} {
 			f := full.Result(bench, rc)
 			p := phase.Result(bench, rc)

@@ -6,8 +6,11 @@ import (
 	"sort"
 	"sync"
 
+	"runaheadsim/internal/bpred"
 	"runaheadsim/internal/core"
 	"runaheadsim/internal/energy"
+	"runaheadsim/internal/isa"
+	"runaheadsim/internal/memsys"
 	"runaheadsim/internal/phases"
 	"runaheadsim/internal/prog"
 	"runaheadsim/internal/simcheck"
@@ -29,8 +32,11 @@ const (
 // SampleOptions tunes the sampled-interval engine (Options.Sample). The full
 // measured region is covered by detailed windows — evenly spaced, or one per
 // behavior phase — each reached by restoring an architectural checkpoint
-// dropped during a single functional fast-forward, then re-warmed with
-// WarmupUops of detailed simulation before measuring.
+// dropped during a single functional fast-forward. The fast-forward also
+// warms the caches and branch predictor functionally, and each window starts
+// from that warm state, then runs WarmupUops of detailed simulation to
+// refill what the functional walk does not model (pipeline, MSHRs, DRAM
+// queues, prefetcher, chain cache, runahead state) before measuring.
 type SampleOptions struct {
 	// Mode selects window placement: SampleEven (default) or SamplePhase.
 	Mode string
@@ -39,8 +45,8 @@ type SampleOptions struct {
 	// never simulates more detailed windows than even mode would.
 	Intervals int
 	// WarmupUops is the detailed warmup run before each window's
-	// measurement, re-warming caches and predictor from the cold
-	// checkpoint state (0 = 50_000).
+	// measurement. Caches and predictor arrive functionally warmed, so it
+	// only has to refill the timing and runahead structures (0 = 10_000).
 	WarmupUops uint64
 	// WindowUops is the measured length of each window. In even mode, 0
 	// (or anything at least the stratum length) measures the whole region
@@ -74,7 +80,7 @@ func (o SampleOptions) intervals() int {
 
 func (o SampleOptions) warmupUops() uint64 {
 	if o.WarmupUops == 0 {
-		return 50_000
+		return 10_000
 	}
 	return o.WarmupUops
 }
@@ -96,12 +102,14 @@ func (o SampleOptions) bbvWindows() int {
 }
 
 // checkpoint is one detailed window of the plan: the architectural image at
-// its fast-forward point, the detailed warmup and measurement lengths, and
+// its fast-forward point (plus, in sampled runs, the functionally warmed
+// caches and predictor), the detailed warmup and measurement lengths, and
 // the merge weight its counters carry.
 type checkpoint struct {
 	id      int
 	st      prog.ArchState
-	start   uint64 // committed-uop offset of the measured window's first uop
+	warm    *warmState // nil: the window's core starts cold
+	start   uint64     // committed-uop offset of the measured window's first uop
 	warmup  uint64
 	measure uint64
 	// Merged counters scale by wnum/wden: the uops this window stands in
@@ -251,6 +259,51 @@ func planFromPhases(plan *phases.Plan, so SampleOptions, regionEnd uint64) []che
 	return cks
 }
 
+// warmState is the microarchitectural state a sampled run's fast-forward
+// trains functionally: the cache tag arrays (memsys.Tags) and the branch
+// predictor, walked uop by uop the way a detailed core on the correct path
+// would touch them. Each checkpoint carries a copy, which runInterval
+// installs into the window's fresh core.
+type warmState struct {
+	tags     *memsys.Tags
+	bp       *bpred.Predictor
+	lastLine uint64 // instruction line the walk fetched last
+}
+
+func newWarmState(cfg core.Config) *warmState {
+	return &warmState{tags: memsys.NewTags(cfg.Mem), bp: bpred.New(cfg.BPred), lastLine: ^uint64(0)}
+}
+
+// step is the fast-forward interpreter's observer: an instruction fetch
+// whenever the uop stream enters a new I-cache line (the core looks each
+// line up once, not per uop), then the uop's data access or branch
+// training.
+func (w *warmState) step(u *isa.Uop, e prog.Exec) {
+	if line := w.tags.L1I.LineAddr(e.PC); line != w.lastLine {
+		w.lastLine = line
+		w.tags.Fetch(line)
+	}
+	switch {
+	case u.Op.IsLoad():
+		w.tags.Load(e.EA)
+	case u.Op.IsStore():
+		w.tags.Store(e.EA)
+	case u.Op.IsBranch():
+		w.bp.Train(u.Op, e.PC, e.NextPC, e.Taken)
+	}
+}
+
+// clone returns an independent copy of the warmed caches and predictor.
+func (w *warmState) clone() *warmState {
+	return &warmState{tags: w.tags.Clone(), bp: w.bp.Clone()}
+}
+
+// install copies the warmed state into a freshly built core.
+func (w *warmState) install(c *core.Core) {
+	w.tags.Install(c.Hierarchy())
+	c.Bpred().CopyFrom(w.bp)
+}
+
 // detailedUops returns the detailed-simulation cost of a plan: every warmup
 // and measured uop that runs on the out-of-order core.
 func detailedUops(plan []checkpoint) uint64 {
@@ -322,6 +375,14 @@ func (r *Runner) runDetailed(bench string, rc RunConfig, spec workload.Spec) (*R
 			}
 		}()
 		in := prog.NewInterp(p)
+		// A sampled run's windows start mid-program, so the fast-forward
+		// warms caches and predictor on the way; a full-detail run's one
+		// window starts at program entry and is left cold.
+		var warm *warmState
+		if sampled {
+			warm = newWarmState(cfg)
+			in.Observe = warm.step
+		}
 		if m != nil && sampled {
 			// The fast-forward's goal is the last checkpoint's position,
 			// saturating at zero when the warmup exceeds the window offset.
@@ -333,6 +394,9 @@ func (r *Runner) runDetailed(bench string, rc RunConfig, spec workload.Spec) (*R
 				in.Run(ff - in.Count())
 			}
 			ck.st = in.ArchState()
+			if warm != nil {
+				ck.warm = warm.clone()
+			}
 			if m != nil && sampled {
 				m.Progress(bench, label, -1, in.Count())
 			}
@@ -412,13 +476,14 @@ func (r *Runner) runDetailed(bench string, rc RunConfig, spec workload.Spec) (*R
 }
 
 // runInterval simulates one detailed window from its checkpoint: it builds
-// the core, attaches the simcheck oracle when asked, warms, resets the
-// statistics, measures, and reads the window out. In a full-detail run (no
-// Options.Sample) the one window reports to the Monitor as interval -1, and
-// carries the timeline when TimelineInterval is set. Panics (core bugs,
-// simcheck violations) surface as errors rather than killing the worker
-// pool; a dying window dumps its flight recorder first when FlightDumpDir is
-// set.
+// the core, installs the checkpoint's functionally warmed caches and
+// predictor when it carries them, attaches the simcheck oracle when asked,
+// warms, resets the statistics, measures, and reads the window out. In a
+// full-detail run (no Options.Sample) the one window reports to the Monitor
+// as interval -1, and carries the timeline when TimelineInterval is set.
+// Panics (core bugs, simcheck violations) surface as errors rather than
+// killing the worker pool; a dying window dumps its flight recorder first
+// when FlightDumpDir is set.
 func (r *Runner) runInterval(bench, label string, cfg core.Config, p *prog.Program, ck checkpoint) (ir intervalResult) {
 	sampled := r.opts.Sample != nil
 	iv, flight := -1, "flight-"+bench+"-"+label
@@ -444,6 +509,9 @@ func (r *Runner) runInterval(bench, label string, cfg core.Config, p *prog.Progr
 		}
 	}()
 	c = core.NewFromArch(cfg, p, ck.st)
+	if ck.warm != nil {
+		ck.warm.install(c)
+	}
 	var chk *simcheck.Checker
 	if r.opts.Check || simcheck.TagEnabled {
 		chk = simcheck.AttachResumed(c, p, simcheck.Options{})

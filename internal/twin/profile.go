@@ -2,8 +2,8 @@ package twin
 
 import (
 	"runaheadsim/internal/bpred"
-	"runaheadsim/internal/cache"
 	"runaheadsim/internal/isa"
+	"runaheadsim/internal/memsys"
 	"runaheadsim/internal/prog"
 )
 
@@ -104,10 +104,9 @@ type missRec struct {
 
 // profiler drives the functional models from the interpreter's observer.
 type profiler struct {
-	m   Machine
-	l1d *cache.Cache
-	llc *cache.Cache
-	bp  *bpred.Predictor
+	m    Machine
+	tags *memsys.Tags
+	bp   *bpred.Predictor
 
 	rec bool // inside the measured region
 	wp  *WorkloadProfile
@@ -127,24 +126,28 @@ type profiler struct {
 // harness's warmup before ResetStats), then measure uops with recording on.
 func BuildProfile(bench string, p *prog.Program, m Machine, warmup, measure uint64) *WorkloadProfile {
 	wp := &WorkloadProfile{Bench: bench, Warmup: warmup, Measure: measure}
-	pr := &profiler{
-		m:        m,
-		l1d:      cache.New(m.L1D),
-		llc:      cache.New(m.LLC),
-		bp:       bpred.New(m.BPred),
-		wp:       wp,
-		memReady: make(map[uint64][2]int64),
-	}
+	pr := newProfiler(m, wp)
 	in := prog.NewInterp(p)
 	in.Observe = pr.step
 	in.Run(warmup)
 	pr.rec = true
-	cpBase := pr.cpMax
+	cpBase, wbBase := pr.cpMax, pr.tags.Writebacks
 	in.Run(measure)
+	wp.Writebacks = pr.tags.Writebacks - wbBase
 	wp.CPFull = pr.cpMax[0] - cpBase[0]
 	wp.CPNoDRAM = pr.cpMax[1] - cpBase[1]
 	pr.clusterMisses()
 	return wp
+}
+
+func newProfiler(m Machine, wp *WorkloadProfile) *profiler {
+	return &profiler{
+		m:        m,
+		tags:     memsys.NewTags(m.Mem),
+		bp:       bpred.New(m.BPred),
+		wp:       wp,
+		memReady: make(map[uint64][2]int64),
+	}
 }
 
 // step is the per-uop observer: the instruction mix (measured region only),
@@ -162,7 +165,11 @@ func (pr *profiler) step(u *isa.Uop, e Exec) {
 		pr.store(e)
 		lat = [2]int64{1, 1}
 	case u.Op.IsBranch():
-		pr.branch(u, e)
+		// The real predictor tables, trained as the detailed core trains
+		// them on the correct path.
+		if pr.bp.Train(u.Op, e.PC, e.NextPC, e.Taken) && pr.rec {
+			pr.wp.Mispredicts++
+		}
 		lat = [2]int64{1, 1}
 	default:
 		l := int64(u.Op.ExecLatency())
@@ -171,23 +178,19 @@ func (pr *profiler) step(u *isa.Uop, e Exec) {
 	pr.dataflow(u, e, lat)
 }
 
-// load walks the functional L1D/LLC tag arrays (inclusive, write-allocate,
-// true LRU — the same structural model the detailed hierarchy uses) and
-// returns the load-to-use latency of the level that served it.
+// load walks the shared functional tag model (the detailed hierarchy's
+// cache calls without its timing) and returns the load-to-use latency of the
+// level that served it.
 func (pr *profiler) load(e Exec) [2]int64 {
-	line := pr.l1d.LineAddr(e.EA)
-	if hit, _ := pr.l1d.Lookup(line); hit {
+	switch pr.tags.Load(e.EA) {
+	case memsys.LevelL1:
 		return [2]int64{pr.m.L1Lat, pr.m.L1Lat}
-	}
-	if hit, _ := pr.llc.Lookup(line); hit {
-		pr.fillL1(line)
+	case memsys.LevelLLC:
 		if pr.rec {
 			pr.wp.LLCHitLoads++
 		}
 		return [2]int64{pr.m.LLCLat, pr.m.LLCLat}
 	}
-	pr.fillLLC(line)
-	pr.fillL1(line)
 	if pr.rec {
 		pr.misses = append(pr.misses, missRec{pos: pr.wp.Mix.Uops, static: int32(e.Index)})
 		pr.wp.DRAMLoads++
@@ -196,51 +199,16 @@ func (pr *profiler) load(e Exec) [2]int64 {
 }
 
 func (pr *profiler) store(e Exec) {
-	line := pr.l1d.LineAddr(e.EA)
-	if hit, _ := pr.l1d.Lookup(line); hit {
-		pr.l1d.MarkDirty(line)
+	lvl := pr.tags.Store(e.EA)
+	if !pr.rec {
 		return
 	}
-	if hit, _ := pr.llc.Lookup(line); !hit {
-		pr.fillLLC(line)
-		if pr.rec {
-			pr.wp.DRAMStores++
-		}
-	} else if pr.rec {
+	switch lvl {
+	case memsys.LevelLLC:
 		pr.wp.LLCHitStores++
+	case memsys.LevelMem:
+		pr.wp.DRAMStores++
 	}
-	pr.fillL1(line)
-	pr.l1d.MarkDirty(line)
-}
-
-func (pr *profiler) fillL1(line uint64) {
-	if v := pr.l1d.Insert(line, false); v.Valid && v.Dirty {
-		pr.llc.MarkDirty(v.Addr) // write the evicted dirty L1 line back
-	}
-}
-
-func (pr *profiler) fillLLC(line uint64) {
-	if v := pr.llc.Insert(line, false); v.Valid {
-		present, dirty := pr.l1d.Invalidate(v.Addr) // inclusion
-		if (v.Dirty || (present && dirty)) && pr.rec {
-			pr.wp.Writebacks++
-		}
-	}
-}
-
-// branch runs the real predictor tables functionally: conditional branches
-// predict and resolve, unconditional ones shift history, exactly as the
-// detailed front end trains them on the correct path.
-func (pr *profiler) branch(u *isa.Uop, e Exec) {
-	if u.Op.IsConditional() {
-		p := pr.bp.PredictDirection(e.PC)
-		pr.bp.Resolve(e.PC, p, e.Taken)
-		if p.Taken != e.Taken && pr.rec {
-			pr.wp.Mispredicts++
-		}
-		return
-	}
-	pr.bp.NoteUnconditional()
 }
 
 // dataflow advances the virtual schedule: each uop starts when its sources

@@ -11,15 +11,16 @@
 //	             DRAM chains, runahead coverage, runahead overhead, bias ]
 //
 // Inputs come from one interpreter-speed profiling pass per workload (an
-// observer on prog.Interp.Run driving functional L1D/LLC tag arrays, the
-// real branch predictor tables, and a dataflow virtual schedule), plus
-// structural machine parameters extracted from the core configuration. The
-// per-term coefficients θ are *fitted* against detailed runs by the
-// calibration loop (calibrate.go) rather than derived from first principles:
-// calibration absorbs everything the first-order terms cannot see (issue
-// contention, partial overlap, prefetch-like wrong-path effects), and the
-// residual it cannot absorb is reported as per-workload/per-config MAPE and
-// Pearson-r — the uncertainty the screening tier promotes on.
+// observer on prog.Interp.Run driving the shared functional cache model
+// memsys.Tags, the real branch predictor trained by bpred's Train, and a
+// dataflow virtual schedule), plus structural machine parameters extracted
+// from the core configuration. The per-term coefficients θ are *fitted*
+// against detailed runs by the calibration loop (calibrate.go) rather than
+// derived from first principles: calibration absorbs everything the
+// first-order terms cannot see (issue contention, partial overlap,
+// prefetch-like wrong-path effects), and the residual it cannot absorb is
+// reported as per-workload/per-config MAPE and Pearson-r — the uncertainty
+// the screening tier promotes on.
 //
 // Known limits, by construction: the profile is configuration-independent,
 // so configurations that change cache contents or miss counts (hardware
@@ -30,8 +31,8 @@ package twin
 
 import (
 	"runaheadsim/internal/bpred"
-	"runaheadsim/internal/cache"
 	"runaheadsim/internal/core"
+	"runaheadsim/internal/memsys"
 )
 
 // Machine holds the structural parameters the model terms are built from.
@@ -48,8 +49,8 @@ type Machine struct {
 	// Load-to-use latencies by the deepest level an access reaches.
 	L1Lat, LLCLat, DRAMLat int64
 
-	L1D, LLC cache.Config
-	BPred    bpred.Config
+	Mem   memsys.Config // cache geometry of the functional tag walk
+	BPred bpred.Config
 }
 
 // MachineFrom extracts the model-relevant structural parameters from a full
@@ -63,8 +64,7 @@ func MachineFrom(cfg core.Config) Machine {
 		L1Lat:         int64(cfg.Mem.L1Latency),
 		LLCLat:        onChip,
 		DRAMLat:       onChip + int64(cfg.Mem.DRAM.TRCD+cfg.Mem.DRAM.TCAS+cfg.Mem.DRAM.TransferCycles),
-		L1D:           cfg.Mem.L1D,
-		LLC:           cfg.Mem.LLC,
+		Mem:           cfg.Mem,
 		BPred:         cfg.BPred,
 	}
 }

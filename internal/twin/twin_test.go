@@ -206,3 +206,33 @@ func TestMixCountsClasses(t *testing.T) {
 		t.Fatalf("mix %+v, want %+v", wp.Mix, want)
 	}
 }
+
+// TestProfileHistoryTracksOutcomes checks the profiler's predictor training
+// on a branchy kernel: after every branch the global history holds exactly
+// the last HistoryBits correct-path outcomes, mispredicted conditional
+// branches included — the detailed core repairs its history the same way
+// when it resolves a mispredict.
+func TestProfileHistoryTracksOutcomes(t *testing.T) {
+	m := testMachine()
+	pr := newProfiler(m, &WorkloadProfile{})
+	mask := uint64(1)<<m.BPred.HistoryBits - 1
+	var hist uint64
+	in := prog.NewInterp(workload.MustLoad("gcc"))
+	in.Observe = func(u *isa.Uop, e Exec) {
+		pr.step(u, e)
+		if !u.Op.IsBranch() {
+			return
+		}
+		hist <<= 1
+		if e.Taken {
+			hist |= 1
+		}
+		if got, want := pr.bp.GHR(), hist&mask; got != want {
+			t.Fatalf("after branch at %#x (uop %d): history %016b, last outcomes %016b", e.PC, in.Count(), got, want)
+		}
+	}
+	in.Run(200_000)
+	if pr.bp.Mispredicts == 0 {
+		t.Fatal("no mispredicts: the history repair path was not exercised")
+	}
+}
