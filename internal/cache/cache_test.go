@@ -223,23 +223,16 @@ func TestMSHRMergeSemantics(t *testing.T) {
 	if !m.Prefetch {
 		t.Fatal("prefetch allocation must be marked")
 	}
-	called := 0
-	f.Merge(m, true, Waiter{Done: func(Outcome) { called++ }})
+	f.Merge(m, true, Token{Kind: TokLoad, Seq: 7})
 	if m.Prefetch {
 		t.Fatal("demand merge must convert a prefetch MSHR")
 	}
 	if !m.DemandMerged {
 		t.Fatal("demand merge must record lateness")
 	}
-	f.Merge(m, false, Waiter{})
-	if len(m.Waiters) != 1 {
-		t.Fatalf("waiters = %d, want 1", len(m.Waiters))
-	}
-	for _, w := range m.Waiters {
-		w.Done(Outcome{})
-	}
-	if called != 1 {
-		t.Fatal("waiter not invoked")
+	f.Merge(m, false, Token{})
+	if len(m.Waiters) != 1 || m.Waiters[0].Seq != 7 {
+		t.Fatalf("waiters = %+v, want the one load token", m.Waiters)
 	}
 }
 

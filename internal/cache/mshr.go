@@ -1,8 +1,8 @@
 package cache
 
 // Level is the deepest hierarchy level an access had to reach. It lives here
-// (rather than in memsys, which re-exports it) so MSHR waiter callbacks can
-// receive a fully-formed Outcome without an adapter closure per miss.
+// (rather than in memsys, which re-exports it) beside Outcome and Token, the
+// completion types MSHR entries carry.
 type Level uint8
 
 // Hierarchy levels.
@@ -25,23 +25,53 @@ func (l Level) String() string {
 }
 
 // Outcome reports the completion of an access. Line is the line address the
-// access resolved to — callers that share one completion callback across all
-// their outstanding accesses (the core's I-fetch path) use it to tell which
-// access finished instead of capturing that state in a per-access closure.
+// access resolved to — requesters that complete several outstanding accesses
+// through one handler (the core's I-fetch path) use it to tell which access
+// finished.
 type Outcome struct {
 	When  int64
 	Level Level
 	Line  uint64
 }
 
-// Waiter is one completion callback attached to an MSHR. The fill loop
-// constructs the Outcome (it knows the cycle, the fill level, and the line),
-// so requesters append their completion function directly — the dominant
-// demand-miss paths allocate no adapter closure. MarkDirty tags store
-// waiters: the owner dirties the filled line before invoking Done.
-type Waiter struct {
-	Done      func(Outcome)
-	MarkDirty bool
+// TokenKind says what a completion token completes, and so where its owner
+// delivers it.
+type TokenKind uint8
+
+// Token kinds. The zero kind is no completion at all: merging it only counts.
+const (
+	TokNone TokenKind = iota
+	// TokLoad is a data load; its early-miss notice and its completion go to
+	// the requestor.
+	TokLoad
+	// TokLoadEarly is a no-wait (runahead) load that allocated its MSHR: it
+	// completes at miss discovery, or at the fill if the miss never reaches
+	// DRAM, whichever comes first.
+	TokLoadEarly
+	// TokStore is a store: the owner dirties the filled line, then completes
+	// it.
+	TokStore
+	// TokFetch is an instruction fetch.
+	TokFetch
+	// TokFillData and TokFillInstr are last-level waiters: the fill moves on
+	// into requestor Req's L1 data or instruction cache.
+	TokFillData
+	TokFillInstr
+)
+
+// Token is one pending completion, held by value in MSHR waiter and
+// early-miss lists and in the hierarchy's event queue. It is plain data —
+// the owner dispatches on Kind — so a pending access allocates nothing and
+// holds no pointer. Slot, Gen, Seq and NoWait belong to the requester and
+// come back unchanged; the hierarchy stamps Kind and Req.
+type Token struct {
+	Addr   uint64 // byte address the access asked for
+	Seq    uint64 // requester's sequence number
+	Gen    uint64 // requester's slot generation
+	Slot   int32  // requester's slot index
+	Req    int32  // requestor (core) the completion is delivered to
+	Kind   TokenKind
+	NoWait bool // runahead load: completes at miss discovery, without data
 }
 
 // MSHRFile tracks outstanding misses for one cache level. Requests to a line
@@ -83,8 +113,8 @@ type MSHRFile struct {
 // MSHR is one outstanding line fill.
 type MSHR struct {
 	LineAddr uint64
-	// Waiters are completion callbacks invoked at fill with the outcome.
-	Waiters []Waiter
+	// Waiters are the completions the owner delivers at fill.
+	Waiters []Token
 	// Prefetch is true while the fill is owed only to prefetch requests; a
 	// demand merge clears it (late prefetch).
 	Prefetch bool
@@ -94,9 +124,10 @@ type MSHR struct {
 	// FillFromMem is set by the owner when the fill had to go to DRAM, so
 	// waiters can learn how deep the miss went.
 	FillFromMem bool
-	// EarlyMiss callbacks fire the moment the miss is known to be DRAM-bound
-	// (runahead needs to learn this without waiting for data).
-	EarlyMiss []func(cycle int64)
+	// EarlyMiss lists the loads the owner notifies the moment the miss is
+	// known to be DRAM-bound (runahead needs to learn this without waiting
+	// for data).
+	EarlyMiss []Token
 	// Req is the requestor (core) the fill is attributed to in shared MSHR
 	// files — the LLC level uses it to charge eviction writebacks to the core
 	// whose miss displaced the victim. Recycle zeroes it, so owners restamp
@@ -152,10 +183,11 @@ func (f *MSHRFile) Allocate(lineAddr uint64, prefetch bool) *MSHR {
 	return m
 }
 
-// Merge attaches a waiter to an existing entry. A demand merge into a
-// prefetch entry converts it and records the lateness.
-func (f *MSHRFile) Merge(m *MSHR, demand bool, waiter Waiter) {
-	if waiter.Done != nil {
+// Merge attaches a waiter to an existing entry; a TokNone waiter attaches
+// nothing. A demand merge into a prefetch entry converts it and records the
+// lateness.
+func (f *MSHRFile) Merge(m *MSHR, demand bool, waiter Token) {
+	if waiter.Kind != TokNone {
 		m.Waiters = append(m.Waiters, waiter)
 	}
 	if demand && m.Prefetch {
@@ -177,17 +209,10 @@ func (f *MSHRFile) Complete(lineAddr uint64) *MSHR {
 }
 
 // Recycle returns a completed entry to the allocation pool. The caller must
-// be done with every reference to m — waiters run, fill level inspected —
-// because the next Allocate may hand the same entry out again. Callback slots
-// are nil-ed so recycled lists don't retain dead closures, but the backing
-// arrays survive for reuse.
+// be done with every reference to m — waiters delivered, fill level
+// inspected — because the next Allocate may hand the same entry out again.
+// The token lists' backing arrays survive for reuse.
 func (f *MSHRFile) Recycle(m *MSHR) {
-	for i := range m.Waiters {
-		m.Waiters[i] = Waiter{}
-	}
-	for i := range m.EarlyMiss {
-		m.EarlyMiss[i] = nil
-	}
 	*m = MSHR{Waiters: m.Waiters[:0], EarlyMiss: m.EarlyMiss[:0]}
 	f.free = append(f.free, m)
 }

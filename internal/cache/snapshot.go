@@ -72,9 +72,9 @@ func (c *Cache) RestoreFrom(r *snapshot.Reader) error {
 	return r.Err()
 }
 
-// SnapshotTo serializes the MSHR file's bookkeeping. Outstanding entries hold
-// completion closures and are unserializable by design, so the file must be
-// drained first; memsys refuses to snapshot until it is.
+// SnapshotTo serializes the MSHR file's bookkeeping. Outstanding entries'
+// completion tokens have no wire format, so the file must be drained first;
+// memsys refuses to snapshot until it is.
 func (f *MSHRFile) SnapshotTo(w *snapshot.Writer) error {
 	w.Mark("mshr")
 	if n := f.Outstanding(); n != 0 {

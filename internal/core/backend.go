@@ -294,6 +294,8 @@ func (c *Core) execStore(d *DynInst) {
 // execLoad runs one cycle after issue (AGU): disambiguate against older
 // stores, forward, consult the runahead cache in runahead mode, then access
 // the memory hierarchy.
+//
+//simlint:hotpath
 func (c *Core) execLoad(d *DynInst) {
 	if d.Squashed || d.Executed {
 		return
@@ -367,77 +369,28 @@ func (c *Core) execLoad(d *DynInst) {
 		}
 	}
 
-	// Memory access. The value is snapshotted now: all older overlapping
-	// stores have been handled, so the committed image holds the right data.
-	value := c.mem.Read64(d.EA)
-	noWait := c.ra.active
+	// Memory access. The load reads the committed image once the hierarchy
+	// has taken it: all older overlapping stores have been handled, so the
+	// image holds the right data, and a refused attempt reads nothing.
 	if d.memIssued {
 		return
 	}
-	// Fast path: an L1D hit needs no hierarchy callbacks at all. The hierarchy
-	// counts the access, the core stamps the outcome and schedules its own
-	// typed completion at the L1 latency — the closure pair below is built
-	// only for misses, where it earns its keep. (A hit can never be runahead's
-	// DRAM-bound blocking load, so the exit check in the miss path's callback
-	// has no analogue here.)
-	if c.h.LoadHitR(c.memReq, d.EA) {
-		d.Value = value
+	switch {
+	case c.h.LoadHitR(c.memReq, d.EA):
+		// Fast path: an L1D hit completes through the core's own typed event
+		// at the L1 latency. (A hit can never be runahead's DRAM-bound
+		// blocking load, so loadDone's exit check has no analogue here.)
+		d.Value = c.mem.Read64(d.EA)
 		d.MemLevel = memsys.LevelL1
 		c.schedule(c.now+int64(c.cfg.Mem.L1Latency), evComplete, d)
-		d.memIssued = true
-		if d.Runahead {
-			c.st.RunaheadLoads++
-		}
-		return
-	}
-	// The callbacks below can fire long after d has left the machine and its
-	// slot been recycled (pseudo-retire frees the runahead blocking load while
-	// its DRAM fill is still outstanding). gen gates every mutation of d; the
-	// captured seq and ea keep the machine-level effects — runahead exit and
-	// miss-age bookkeeping — correct independently of the slot's fate.
-	gen, seq, ea := d.gen, d.Seq, d.EA
-	ok := c.h.LoadR(c.memReq, c.now, ea, noWait,
-		func(int64) { // DRAM-bound miss discovered
-			line := ea &^ 63
-			if _, seen := c.missAge[line]; !seen {
-				if len(c.missAge) > 8192 {
-					clear(c.missAge)
-				}
-				c.missAge[line] = c.now
-			}
-			if d.gen != gen {
-				return
-			}
-			d.DRAMBound = true
-			// Classic runahead invalidates every load that misses to DRAM
-			// while in runahead mode, so the window can drain past it. Loads
-			// issued no-wait poison through their own completion path.
-			if c.ra.active && !noWait && !d.Executed && !d.Squashed && seq != c.ra.blockingSeq {
-				d.MemLevel = memsys.LevelMem
-				c.poisonComplete(d)
-			}
-		},
-		func(o memsys.Outcome) {
-			if c.ra.active && seq == c.ra.blockingSeq {
-				// The data that blocked the ROB is back: leave runahead.
-				c.ra.pendingExit = true
-			}
-			if d.gen != gen || d.Squashed || d.Executed {
-				return
-			}
-			d.MemLevel = o.Level
-			if noWait && o.Level == memsys.LevelMem {
-				if d.FromBuffer && c.ra.active {
-					c.ra.bufferMemLoads++
-				}
-				// Runahead: no data — mark invalid and move on.
-				c.poisonComplete(d)
-				return
-			}
-			d.Value = value
-			c.complete(d)
-		})
-	if !ok {
+	case c.h.LoadR(c.memReq, c.now, memsys.Token{Addr: d.EA, Seq: d.Seq, Gen: d.gen, Slot: d.slot, NoWait: c.ra.active}):
+		// A miss travels as a token naming d's slot and generation, so its
+		// completion is recognized as stale if d leaves the machine first
+		// (pseudo-retire frees the runahead blocking load while its DRAM
+		// fill is still outstanding); see loadMiss and loadDone.
+		d.memValue = c.mem.Read64(d.EA)
+	default:
+		// The L1D MSHR file is full: retry next cycle.
 		c.st.LoadRetries++
 		c.schedule(c.now+1, evExecLoad, d)
 		return
@@ -446,6 +399,76 @@ func (c *Core) execLoad(d *DynInst) {
 	if d.Runahead {
 		c.st.RunaheadLoads++
 	}
+}
+
+// memSink is the core seen as its requestor's completion sink (memsys.Sink).
+// A named conversion of Core rather than methods on it keeps Miss and Done
+// out of Core's API; the conversion allocates nothing.
+type memSink Core
+
+// Miss reports that load t is DRAM-bound.
+func (s *memSink) Miss(t memsys.Token, _ int64) { (*Core)(s).loadMiss(t) }
+
+// Done dispatches a completion on its token kind.
+func (s *memSink) Done(t memsys.Token, o memsys.Outcome) {
+	c := (*Core)(s)
+	switch t.Kind {
+	case memsys.TokStore:
+		c.sbPop() // the store buffer drains in order, one write in flight
+	case memsys.TokFetch:
+		c.fetchDone(o)
+	default:
+		c.loadDone(t, o)
+	}
+}
+
+// loadMiss handles a load's DRAM-bound notice. The token can outlive the
+// load: gen gates every change to the slot, while the token's own Addr and
+// Seq keep the machine-level effects — miss age here, runahead exit in
+// loadDone — correct whatever became of the slot.
+func (c *Core) loadMiss(t memsys.Token) {
+	line := t.Addr &^ 63
+	if _, seen := c.missAge[line]; !seen {
+		if len(c.missAge) > 8192 {
+			clear(c.missAge)
+		}
+		c.missAge[line] = c.now
+	}
+	d := c.slots[t.Slot]
+	if d.gen != t.Gen {
+		return
+	}
+	d.DRAMBound = true
+	// Classic runahead invalidates every load that misses to DRAM while in
+	// runahead mode, so the window can drain past it. Loads issued no-wait
+	// poison through their own completion.
+	if c.ra.active && !t.NoWait && !d.Executed && !d.Squashed && t.Seq != c.ra.blockingSeq {
+		d.MemLevel = memsys.LevelMem
+		c.poisonComplete(d)
+	}
+}
+
+// loadDone completes a load that missed in the L1D.
+func (c *Core) loadDone(t memsys.Token, o memsys.Outcome) {
+	if c.ra.active && t.Seq == c.ra.blockingSeq {
+		// The data that blocked the ROB is back: leave runahead.
+		c.ra.pendingExit = true
+	}
+	d := c.slots[t.Slot]
+	if d.gen != t.Gen || d.Squashed || d.Executed {
+		return
+	}
+	d.MemLevel = o.Level
+	if t.NoWait && o.Level == memsys.LevelMem {
+		if d.FromBuffer && c.ra.active {
+			c.ra.bufferMemLoads++
+		}
+		// Runahead: no data — mark invalid and move on.
+		c.poisonComplete(d)
+		return
+	}
+	d.Value = d.memValue
+	c.complete(d)
 }
 
 // poisonComplete finishes a uop whose result is invalid (runahead poison).
@@ -600,6 +623,6 @@ func (c *Core) squash(t *DynInst) {
 		c.sqCount--
 	}
 	// The ROB slot was the last owning reference; outstanding events, memory
-	// callbacks, and scheduler entries all hold gen captures and go dead now.
+	// tokens, and scheduler entries all hold gen captures and go dead now.
 	c.freeDyn(t)
 }

@@ -1,5 +1,7 @@
 package core
 
+import "runaheadsim/internal/memsys"
+
 // commitStage retires up to CommitWidth executed uops in order, drains the
 // store buffer, and triggers runahead entry when a DRAM-bound load blocks
 // the ROB head.
@@ -85,7 +87,7 @@ func (c *Core) drainStoreBuffer() {
 		return
 	}
 	e := &c.storeBuf[c.sbHead]
-	if c.h.StoreR(c.memReq, c.now, e.addr, c.storeDone) {
+	if c.h.StoreR(c.memReq, c.now, memsys.Token{Addr: e.addr}) {
 		e.inflight = true
 	}
 }

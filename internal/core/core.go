@@ -109,6 +109,10 @@ type Core struct {
 	// Reuse order is LIFO and deterministic.
 	//simlint:nosnapshot host-side allocation pool; its contents never reach simulated state
 	dynPool []*DynInst
+	// slots lists every DynInst the core ever allocated, indexed by
+	// DynInst.slot, so memory tokens can name a uop without a pointer.
+	//simlint:nosnapshot host-side allocation index; its contents never reach simulated state
+	slots []*DynInst
 
 	// Runahead machinery.
 	ra      raState
@@ -160,13 +164,6 @@ type Core struct {
 	// registry at Run boundaries. Never snapshotted, never part of Stats.
 	//simlint:nosnapshot simulator self-profiling; flushed to the metrics registry, never simulated state
 	prof coreProf
-
-	// Shared memory-system callbacks, built once in New. The store buffer
-	// drains in order with one inflight write, and the I-fetch wait is
-	// identified by (icacheWait, fetchWaitLine) rather than a captured
-	// generation — so neither needs a per-request closure.
-	storeDone func(memsys.Outcome) //simlint:nosnapshot closure rebuilt by the constructor
-	fetchDone func(memsys.Outcome) //simlint:nosnapshot closure rebuilt by the constructor
 
 	// draining gates the fetch stage while Drain runs the machine to
 	// quiescence for a snapshot.
@@ -237,19 +234,7 @@ func NewShared(cfg Config, p *prog.Program, h *memsys.Hierarchy, req int) *Core 
 	if metrics.Enabled {
 		regCoreMetrics() // instruments exist before the first warp observes one
 	}
-	c.storeDone = func(memsys.Outcome) { c.sbPop() }
-	c.fetchDone = func(o memsys.Outcome) {
-		// A stale fill (for a fetch the front end was redirected away from)
-		// either finds icacheWait already clear or names a different line;
-		// only the live wait matches both. A redirect straight back to the
-		// same still-missing line merges into the same MSHR, so the stale and
-		// live callbacks fire on the same cycle and the early clear is
-		// indistinguishable from the live one.
-		if c.icacheWait && o.Line == c.fetchWaitLine {
-			c.icacheWait = false
-			c.lastFetchLine = o.Line
-		}
-	}
+	h.SetSink(req, (*memSink)(c))
 	return c
 }
 
@@ -281,18 +266,20 @@ func (c *Core) newDyn() *DynInst {
 	n := len(c.dynPool)
 	if n == 0 {
 		c.prof.dynPoolNews++
-		return &DynInst{}
+		d := &DynInst{slot: int32(len(c.slots))}
+		c.slots = append(c.slots, d)
+		return d
 	}
 	c.prof.dynPoolHits++
 	d := c.dynPool[n-1]
 	c.dynPool[n-1] = nil
 	c.dynPool = c.dynPool[:n-1]
-	*d = DynInst{gen: d.gen}
+	*d = DynInst{gen: d.gen, slot: d.slot}
 	return d
 }
 
 // freeDyn releases a uop that has left the machine. Bumping gen invalidates
-// every outstanding lazy reference (events, memory callbacks, scheduler
+// every outstanding lazy reference (events, memory tokens, scheduler
 // entries) without searching for them.
 func (c *Core) freeDyn(d *DynInst) {
 	d.gen++
@@ -304,7 +291,7 @@ func (c *Core) schedule(at int64, kind evKind, d *DynInst) {
 		at = c.now + 1
 	}
 	if at-c.now >= eventWindow {
-		panic("core: event scheduled beyond the event window")
+		panicEventWindow()
 	}
 	slot := at % eventWindow
 	c.events[slot] = append(c.events[slot], coreEvent{kind: kind, d: d, gen: d.gen, at: at})
@@ -417,9 +404,9 @@ func (c *Core) Cycle() {
 
 // SyncClock sets the core's clock without running a cycle. The cluster
 // calls it on every core BEFORE ticking the shared hierarchy: hierarchy
-// events fire core callbacks (miss notifications, fill completions) that
-// stamp c.now, and in the single-core sequence the clock is advanced before
-// Tick — so an externally clocked core must see the new cycle the same way.
+// events deliver core completions (miss notices, fills) that stamp c.now,
+// and in the single-core sequence the clock is advanced before Tick — so an
+// externally clocked core must see the new cycle the same way.
 func (c *Core) SyncClock(now int64) { c.now = now }
 
 // StepExt advances the core one cycle under an external clock — the
@@ -512,6 +499,13 @@ func (c *Core) cycleBody() {
 func panicWarpedEvent(due, now int64) {
 	panic(fmt.Sprintf("core: event due at cycle %d fired at cycle %d (clock warped over a due event)", due, now))
 }
+
+// panicEventWindow reports an event scheduled past the wheel. Kept out of
+// line so schedule, which inlines into hot paths, carries no boxed panic
+// value.
+//
+//go:noinline
+func panicEventWindow() { panic("core: event scheduled beyond the event window") }
 
 // WarpStats reports the clock warp's work: how many warps fired and how many
 // cycles they skipped. Deliberately not part of Stats (and not serialized):

@@ -16,7 +16,7 @@ const drainBound = 10_000_000
 // Quiesced reports whether the machine holds no in-flight state: empty
 // window, empty front end, no scheduled events, no runahead interval, and a
 // fully drained memory hierarchy. Only a quiesced core can be snapshotted —
-// in-flight work is closures, which have no wire representation.
+// in-flight work has no wire representation.
 func (c *Core) Quiesced() bool {
 	return c.QuiescedCore() && c.h.Drained()
 }

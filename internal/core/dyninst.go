@@ -52,6 +52,9 @@ type DynInst struct {
 	// memIssued records that the memory request for a load has been sent
 	// (prevents double issue across retries).
 	memIssued bool
+	// memValue is the committed-image value a load read when its miss was
+	// accepted; it becomes Value if the load completes with data.
+	memValue int64
 
 	// Value and poison.
 	Value    int64
@@ -64,10 +67,13 @@ type DynInst struct {
 
 	// gen is the pool-reuse generation (see Core.newDyn). Every reference
 	// that can outlive the uop's window residency — scheduled events, memory
-	// completion callbacks, lazy scheduler entries — captures gen at creation
+	// completion tokens, lazy scheduler entries — captures gen at creation
 	// and ignores the reference when it no longer matches: the slot has been
 	// recycled for a different dynamic instruction.
 	gen uint64
+	// slot is the DynInst's fixed index in Core.slots, which memory tokens
+	// carry in place of a pointer.
+	slot int32
 
 	// Timing.
 	FetchCycle, IssueCycle, DoneCycle int64

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runaheadsim/internal/isa"
+	"runaheadsim/internal/memsys"
 )
 
 // frontQCap bounds the fetch/decode queue.
@@ -34,13 +35,12 @@ func (c *Core) fetchStage() {
 				c.h.L1IR(c.memReq).Lookup(line) // count the hit, refresh LRU
 				c.lastFetchLine = line
 			} else {
-				// c.fetchDone is one shared callback; it matches the fill's
-				// line against fetchWaitLine (and the icacheWait gate) instead
-				// of capturing a per-fetch generation, so no closure is
-				// allocated per I-miss.
+				// The fill is matched against fetchWaitLine (and the
+				// icacheWait gate) by fetchDone, so the token carries nothing
+				// but the line.
 				c.icacheWait = true
 				c.fetchWaitLine = line
-				if !c.h.FetchR(c.memReq, c.now, line, c.fetchDone) {
+				if !c.h.FetchR(c.memReq, c.now, memsys.Token{Addr: line}) {
 					c.icacheWait = false // MSHR full; retry next cycle
 				}
 				break
@@ -172,4 +172,17 @@ func (c *Core) dropFrontQ() {
 	c.frontQ = c.frontQ[:0]
 	c.frontReadyAt = c.frontReadyAt[:0]
 	c.frontHead = 0
+}
+
+// fetchDone completes an I-fetch. A stale fill (for a fetch the front end
+// was redirected away from) either finds icacheWait already clear or names a
+// different line; only the live wait matches both. A redirect straight back
+// to the same still-missing line merges into the same MSHR, so the stale and
+// live completions arrive on the same cycle and the early clear is
+// indistinguishable from the live one.
+func (c *Core) fetchDone(o memsys.Outcome) {
+	if c.icacheWait && o.Line == c.fetchWaitLine {
+		c.icacheWait = false
+		c.lastFetchLine = o.Line
+	}
 }

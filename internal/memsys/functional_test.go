@@ -54,13 +54,13 @@ func TestFunctionalMatchesHierarchy(t *testing.T) {
 		var want Level
 		switch x >> 58 % 3 {
 		case 0:
-			h.Load(now, addr, false, nil, cb)
+			load(h, now, addr, false, nil, cb)
 			want = tags.Load(addr)
 		case 1:
-			h.Store(now, addr, cb)
+			store(h, now, addr, cb)
 			want = tags.Store(addr)
 		default:
-			h.Fetch(now, addr, cb)
+			fetch(h, now, addr, cb)
 			want = tags.Fetch(addr)
 		}
 		drive(t, h, &now, 10_000, func() bool { return got != nil && h.Drained() })

@@ -5,10 +5,11 @@
 // data values live in the functional memory image owned by the core.
 //
 // The hierarchy is driven by the core clock: call Tick once per cycle, and
-// issue accesses with Load/Store/Fetch. Completion is delivered through
-// callbacks carrying the cycle and the deepest level the access reached.
-// Loads may be issued "no-wait" (runahead semantics): the callback then
-// fires as soon as an LLC miss is discovered, while the fill itself keeps
+// issue accesses with Load/Store/Fetch, each described by a Token. Every
+// requestor installs one Sink; completions come back to it as the access's
+// token plus an Outcome carrying the cycle and the deepest level the access
+// reached. Loads may be issued "no-wait" (runahead semantics): the load then
+// completes as soon as an LLC miss is discovered, while the fill itself keeps
 // going in the background — that background fill is exactly runahead's
 // prefetching effect.
 //
@@ -32,8 +33,8 @@ import (
 )
 
 // Level is the deepest level an access had to reach. Defined in package
-// cache (so MSHR waiters can carry completion callbacks without adapter
-// closures) and re-exported here for the hierarchy's public API.
+// cache, beside the completion types MSHR entries carry, and re-exported
+// here for the hierarchy's public API.
 type Level = cache.Level
 
 // Hierarchy levels.
@@ -45,6 +46,28 @@ const (
 
 // Outcome reports the completion of an access; see cache.Outcome.
 type Outcome = cache.Outcome
+
+// Token describes one access and comes back with its completion; see
+// cache.Token.
+type Token = cache.Token
+
+// The token kinds a Sink tells apart from loads (TokLoad and TokLoadEarly);
+// see cache.TokenKind.
+const (
+	TokStore = cache.TokStore
+	TokFetch = cache.TokFetch
+)
+
+// Sink receives one requestor's completions. The hierarchy holds one per
+// requestor (SetSink) and hands back the token each access was issued with,
+// so a pending access is plain data and nothing is allocated per request. A
+// requestor needs its sink before its first access.
+type Sink interface {
+	// Miss reports, at cycle now, that load t is DRAM-bound.
+	Miss(t Token, now int64)
+	// Done completes access t with outcome o.
+	Done(t Token, o Outcome)
+}
 
 // Config describes the hierarchy.
 type Config struct {
@@ -101,15 +124,14 @@ const (
 // will happen until a new access arrives.
 const Never = int64(1<<63 - 1)
 
-// evKind discriminates the typed scheduled events. Events used to be
-// closures; on memory-bound runs the per-hop closure allocations dominated
-// the heap profile, so the payload now lives in the event value itself and
-// only the caller-provided completion callbacks remain funcs.
+// evKind discriminates the typed scheduled events. Events hold their whole
+// payload by value — completions included, as tokens — so scheduling one
+// allocates nothing and the queue holds no pointers.
 type evKind uint8
 
 const (
-	evDone      evKind = iota // fire done(Outcome{h.now, lvl})
-	evMiss                    // fire miss(h.now)
+	evDone      evKind = iota // sink.Done(tok, Outcome{h.now, lvl, line})
+	evMiss                    // sink.Miss(tok, h.now)
 	evLLCAccess               // llcAccess(req, line, rk)
 	evFillL1                  // fillL1(req, line, rk, false) — LLC-hit fill
 	evFillLLC                 // fillLLC(line, pf) — line arrived from DRAM
@@ -120,23 +142,22 @@ const (
 type event struct {
 	cycle int64
 	seq   uint64
-	kind  evKind
+	tok   Token
 	line  uint64
 	req   int32
+	kind  evKind
 	rk    reqKind
 	lvl   Level
 	pf    bool
-	done  func(Outcome)
-	miss  func(int64)
 }
 
 // fire dispatches the event at cycle h.now.
 func (h *Hierarchy) fire(e *event) {
 	switch e.kind {
 	case evDone:
-		e.done(Outcome{When: h.now, Level: e.lvl, Line: e.line})
+		h.fr[e.req].sink.Done(e.tok, Outcome{When: h.now, Level: e.lvl, Line: e.line})
 	case evMiss:
-		e.miss(h.now)
+		h.fr[e.req].sink.Miss(e.tok, h.now)
 	case evLLCAccess:
 		h.llcAccess(int(e.req), e.line, e.rk)
 	case evFillL1:
@@ -205,7 +226,6 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = event{} // release callback references held by the dead tail slot
 	s = s[:n]
 	*h = s
 	for i := 0; ; {
@@ -239,23 +259,21 @@ type ReqStats struct {
 	// arbiter; LLCArbWaitCycles sums the cycles those accesses queued past
 	// their L1→LLC transit, i.e. pure port contention. Both stay zero in a
 	// single-requestor hierarchy (no arbitration on that path).
-	LLCArbGrants      uint64
-	LLCArbWaitCycles  uint64
+	LLCArbGrants     uint64
+	LLCArbWaitCycles uint64
 }
 
 // front is one requestor's private L1 level: instruction and data caches,
-// their MSHR files, the cached fill callbacks, per-requestor statistics, and
-// the host's observability hook.
+// their MSHR files, the requestor's completion sink, per-requestor
+// statistics, and the host's observability hook.
 type front struct {
 	l1i, l1d         *cache.Cache
 	l1iMSHR, l1dMSHR *cache.MSHRFile
 
-	// fillL1Data/fillL1Instr are the LLC-MSHR waiters attachL1Fill installs,
-	// cached once per front so no closure is allocated per LLC miss (the
-	// Outcome carries the line). Rebuilt by the constructor, never
-	// snapshotted.
-	fillL1Data  func(Outcome)
-	fillL1Instr func(Outcome)
+	// sink receives this requestor's completions. Host wiring: the owning
+	// core installs itself at construction, so a restored hierarchy gets it
+	// back the same way.
+	sink Sink
 
 	// onLLCMiss, when non-nil, is invoked on every LLC demand miss from this
 	// requestor, at miss discovery (before MSHR allocation). Host hook; the
@@ -273,6 +291,13 @@ type arbEntry struct {
 	line    uint64
 	rk      reqKind
 	readyAt int64
+}
+
+// llcRetryEntry is one demand miss waiting for a free LLC MSHR.
+type llcRetryEntry struct {
+	line uint64
+	req  int32
+	kind reqKind
 }
 
 // llcArb is the shared-LLC input arbiter: one FIFO per requestor, drained
@@ -313,9 +338,9 @@ func (a *llcArb) pop(r int) arbEntry {
 // Hierarchy is the assembled memory system: N private L1 front ends over one
 // shared LLC and DRAM controller (N == 1 for the single-core machine).
 type Hierarchy struct {
-	cfg  Config
-	fr   []front
-	arb  llcArb
+	cfg Config
+	fr  []front
+	arb llcArb
 
 	llc     *cache.Cache
 	llcMSHR *cache.MSHRFile
@@ -325,8 +350,8 @@ type Hierarchy struct {
 	events   eventHeap
 	seq      uint64
 	now      int64
-	dramWait reqRing       // overflow when the 64-entry memory queue is full
-	llcRetry []func() bool // demand misses waiting for a free LLC MSHR
+	dramWait reqRing         // overflow when the 64-entry memory queue is full
+	llcRetry []llcRetryEntry // demand misses waiting for a free LLC MSHR
 
 	// reqPool recycles dram.Request values: the controller hands each
 	// request back through its Release hook after the completion callback
@@ -390,11 +415,6 @@ func NewShared(cfg Config, n int) *Hierarchy {
 		f.l1d = cache.New(cfg.L1D)
 		f.l1iMSHR = cache.NewMSHRFile(cfg.L1IMSHRs)
 		f.l1dMSHR = cache.NewMSHRFile(cfg.L1DMSHRs)
-		// Shared completion callbacks: one closure pair per front instead of
-		// one per miss.
-		req := i
-		f.fillL1Data = func(o Outcome) { h.fillL1(req, o.Line, kindData, true) }
-		f.fillL1Instr = func(o Outcome) { h.fillL1(req, o.Line, kindInstr, true) }
 	}
 	h.demandDone = func(r *dram.Request, cy int64) {
 		h.scheduleEv(cy, event{kind: evFillLLC, line: r.LineAddr, pf: false})
@@ -436,8 +456,8 @@ func (h *Hierarchy) DRAM() *dram.Controller { return h.mem }
 func (h *Hierarchy) Prefetcher() prefetch.Engine { return h.pf }
 
 // L1D exposes requestor 0's L1 data cache; L1DR addresses any requestor.
-func (h *Hierarchy) L1D() *cache.Cache           { return h.fr[0].l1d }
-func (h *Hierarchy) L1DR(req int) *cache.Cache   { return h.fr[req].l1d }
+func (h *Hierarchy) L1D() *cache.Cache         { return h.fr[0].l1d }
+func (h *Hierarchy) L1DR(req int) *cache.Cache { return h.fr[req].l1d }
 
 // L1I exposes requestor 0's L1 instruction cache; L1IR addresses any
 // requestor.
@@ -449,6 +469,9 @@ func (h *Hierarchy) LLC() *cache.Cache { return h.llc }
 
 // Req returns requestor req's statistics.
 func (h *Hierarchy) Req(req int) *ReqStats { return &h.fr[req].st }
+
+// SetSink installs requestor req's completion sink.
+func (h *Hierarchy) SetSink(req int, s Sink) { h.fr[req].sink = s }
 
 // SetLLCMissHook installs (or, with nil, removes) requestor req's LLC
 // demand-miss hook: invoked at miss discovery, before MSHR allocation, so
@@ -542,13 +565,10 @@ func (h *Hierarchy) Tick(now int64) {
 	// Retry demand misses blocked on a full LLC MSHR file.
 	if len(h.llcRetry) > 0 {
 		kept := h.llcRetry[:0]
-		for _, try := range h.llcRetry {
-			if !try() {
-				kept = append(kept, try)
+		for _, e := range h.llcRetry {
+			if !h.tryLLCMiss(int(e.req), e.line, e.kind) {
+				kept = append(kept, e)
 			}
-		}
-		for i := len(kept); i < len(h.llcRetry); i++ {
-			h.llcRetry[i] = nil // don't retain satisfied retries in the tail
 		}
 		h.llcRetry = kept
 	}
@@ -667,31 +687,32 @@ func (h *Hierarchy) NextEvent() int64 {
 	return next
 }
 
-// Load issues requestor 0's data read; LoadR addresses any requestor.
+// Load issues requestor 0's data read of t.Addr; LoadR addresses any
+// requestor. t comes back to the requestor's sink: through Sink.Miss as soon
+// as the access is known to be DRAM-bound — the signal that lets a blocked
+// ROB head trigger runahead without waiting for the data — and through
+// Sink.Done when it completes.
 //
-// onMiss (optional) fires as soon as the access is known to be DRAM-bound —
-// the signal that lets a blocked ROB head trigger runahead without waiting
-// for the data.
-//
-// When noWait is set (runahead semantics), done itself fires at miss
+// When t.NoWait is set (runahead semantics), the load completes at miss
 // discovery (Level Mem, no data) instead of at data arrival, and the fill
 // continues in the background.
 //
 // Load reports false when the L1D MSHR file is full and the access must be
-// retried.
-func (h *Hierarchy) Load(now int64, addr uint64, noWait bool, onMiss func(int64), done func(Outcome)) bool {
-	return h.LoadR(0, now, addr, noWait, onMiss, done)
-}
+// retried. A refused load still counts as an access and an L1D miss, and
+// leaves nothing behind.
+func (h *Hierarchy) Load(now int64, t Token) bool { return h.LoadR(0, now, t) }
 
 // LoadHit is the allocation-free fast path for the common L1D-hit case: if
 // addr hits, it counts the access exactly as Load's hit path would (Loads,
 // the cache's hit statistic and LRU refresh) and reports true, leaving the
 // completion timing — L1Latency cycles, like every hierarchy hop — to the
-// caller, which can schedule a typed event of its own instead of threading a
-// callback through the hierarchy. On a miss nothing is counted or disturbed
-// and the caller falls back to Load. LoadHitR addresses any requestor.
+// caller, which can schedule a typed event of its own instead of routing the
+// completion through the hierarchy. On a miss nothing is counted or
+// disturbed and the caller falls back to Load. LoadHitR addresses any
+// requestor.
 func (h *Hierarchy) LoadHit(addr uint64) bool { return h.LoadHitR(0, addr) }
 
+//simlint:hotpath
 func (h *Hierarchy) LoadHitR(req int, addr uint64) bool {
 	f := &h.fr[req]
 	if !f.l1d.Probe(addr) {
@@ -703,113 +724,101 @@ func (h *Hierarchy) LoadHitR(req int, addr uint64) bool {
 	return true
 }
 
-func (h *Hierarchy) LoadR(req int, now int64, addr uint64, noWait bool, onMiss func(int64), done func(Outcome)) bool {
+//simlint:hotpath
+func (h *Hierarchy) LoadR(req int, now int64, t Token) bool {
 	f := &h.fr[req]
 	h.Loads++
 	f.st.Loads++
-	if hit, _ := f.l1d.Lookup(addr); hit {
-		h.scheduleEv(now+int64(h.cfg.L1Latency), event{kind: evDone, lvl: LevelL1, line: f.l1d.LineAddr(addr), done: done})
+	t.Kind, t.Req = cache.TokLoad, int32(req)
+	at := now + int64(h.cfg.L1Latency)
+	if hit, _ := f.l1d.Lookup(t.Addr); hit {
+		h.scheduleEv(at, event{kind: evDone, req: t.Req, tok: t, lvl: LevelL1, line: f.l1d.LineAddr(t.Addr)})
 		return true
 	}
-	line := f.l1d.LineAddr(addr)
+	line := f.l1d.LineAddr(t.Addr)
 	if m, ok := f.l1dMSHR.Lookup(line); ok {
-		if onMiss != nil {
-			if m.FillFromMem {
-				h.scheduleEv(now+int64(h.cfg.L1Latency), event{kind: evMiss, miss: onMiss})
-			} else {
-				m.EarlyMiss = append(m.EarlyMiss, onMiss)
-			}
+		if m.FillFromMem {
+			h.scheduleEv(at, event{kind: evMiss, req: t.Req, tok: t})
+		} else {
+			m.EarlyMiss = append(m.EarlyMiss, t)
 		}
-		if noWait {
+		if t.NoWait {
 			// The line is already in flight; runahead treats it as a miss in
 			// progress and moves on without waiting.
-			f.l1dMSHR.Merge(m, true, cache.Waiter{})
-			h.scheduleEv(now+int64(h.cfg.L1Latency), event{kind: evDone, lvl: LevelMem, done: done})
+			f.l1dMSHR.Merge(m, true, Token{})
+			h.scheduleEv(at, event{kind: evDone, req: t.Req, tok: t, lvl: LevelMem})
 			return true
 		}
-		f.l1dMSHR.Merge(m, true, cache.Waiter{Done: done})
+		f.l1dMSHR.Merge(m, true, t)
 		return true
 	}
 	if f.l1dMSHR.FullNow() {
 		return false
 	}
 	m := f.l1dMSHR.Allocate(line, false)
-	if onMiss != nil {
-		m.EarlyMiss = append(m.EarlyMiss, onMiss)
+	if t.NoWait {
+		// Completes at the early-miss notice when the LLC lookup resolves as
+		// a miss; if the LLC hits instead, the fill completes it quickly.
+		t.Kind = cache.TokLoadEarly
 	}
-	if noWait {
-		notified := false
-		fire := func(o Outcome) {
-			if !notified {
-				notified = true
-				done(o)
-			}
-		}
-		// Early notification when the LLC lookup resolves as a miss; if the
-		// LLC hits instead, the normal fill path completes quickly.
-		m.EarlyMiss = append(m.EarlyMiss, func(cy int64) { fire(Outcome{When: cy, Level: LevelMem, Line: line}) })
-		f.l1dMSHR.Merge(m, true, cache.Waiter{Done: fire})
-	} else {
-		f.l1dMSHR.Merge(m, true, cache.Waiter{Done: done})
-	}
+	m.EarlyMiss = append(m.EarlyMiss, t)
+	f.l1dMSHR.Merge(m, true, t)
 	h.sendLLC(req, now, line, kindData)
 	return true
 }
 
-// Store issues requestor 0's data write (write-allocate, write-back); StoreR
-// addresses any requestor. The callback fires when the line is writable in
-// the L1D. Store reports false when the L1D MSHR file is full.
-func (h *Hierarchy) Store(now int64, addr uint64, done func(Outcome)) bool {
-	return h.StoreR(0, now, addr, done)
-}
+// Store issues requestor 0's data write of t.Addr (write-allocate,
+// write-back); StoreR addresses any requestor. t completes when the line is
+// writable in the L1D. Store reports false when the L1D MSHR file is full.
+func (h *Hierarchy) Store(now int64, t Token) bool { return h.StoreR(0, now, t) }
 
-func (h *Hierarchy) StoreR(req int, now int64, addr uint64, done func(Outcome)) bool {
+func (h *Hierarchy) StoreR(req int, now int64, t Token) bool {
 	f := &h.fr[req]
 	h.Stores++
 	f.st.Stores++
-	if hit, _ := f.l1d.Lookup(addr); hit {
-		f.l1d.MarkDirty(addr)
-		h.scheduleEv(now+int64(h.cfg.L1Latency), event{kind: evDone, lvl: LevelL1, line: f.l1d.LineAddr(addr), done: done})
+	t.Kind, t.Req = cache.TokStore, int32(req)
+	if hit, _ := f.l1d.Lookup(t.Addr); hit {
+		f.l1d.MarkDirty(t.Addr)
+		h.scheduleEv(now+int64(h.cfg.L1Latency), event{kind: evDone, req: t.Req, tok: t, lvl: LevelL1, line: f.l1d.LineAddr(t.Addr)})
 		return true
 	}
-	line := f.l1d.LineAddr(addr)
+	line := f.l1d.LineAddr(t.Addr)
 	if m, ok := f.l1dMSHR.Lookup(line); ok {
-		f.l1dMSHR.Merge(m, true, cache.Waiter{Done: done, MarkDirty: true})
+		f.l1dMSHR.Merge(m, true, t)
 		return true
 	}
 	if f.l1dMSHR.FullNow() {
 		return false
 	}
 	m := f.l1dMSHR.Allocate(line, false)
-	f.l1dMSHR.Merge(m, true, cache.Waiter{Done: done, MarkDirty: true})
+	f.l1dMSHR.Merge(m, true, t)
 	h.sendLLC(req, now, line, kindData)
 	return true
 }
 
-// Fetch issues requestor 0's instruction read; FetchR addresses any
-// requestor. It reports false when the L1I MSHR file is full.
-func (h *Hierarchy) Fetch(now int64, addr uint64, done func(Outcome)) bool {
-	return h.FetchR(0, now, addr, done)
-}
+// Fetch issues requestor 0's instruction read of t.Addr; FetchR addresses
+// any requestor. It reports false when the L1I MSHR file is full.
+func (h *Hierarchy) Fetch(now int64, t Token) bool { return h.FetchR(0, now, t) }
 
-func (h *Hierarchy) FetchR(req int, now int64, addr uint64, done func(Outcome)) bool {
+func (h *Hierarchy) FetchR(req int, now int64, t Token) bool {
 	f := &h.fr[req]
 	h.Fetches++
 	f.st.Fetches++
-	if hit, _ := f.l1i.Lookup(addr); hit {
-		h.scheduleEv(now+int64(h.cfg.L1Latency), event{kind: evDone, lvl: LevelL1, line: f.l1i.LineAddr(addr), done: done})
+	t.Kind, t.Req = cache.TokFetch, int32(req)
+	if hit, _ := f.l1i.Lookup(t.Addr); hit {
+		h.scheduleEv(now+int64(h.cfg.L1Latency), event{kind: evDone, req: t.Req, tok: t, lvl: LevelL1, line: f.l1i.LineAddr(t.Addr)})
 		return true
 	}
-	line := f.l1i.LineAddr(addr)
+	line := f.l1i.LineAddr(t.Addr)
 	if m, ok := f.l1iMSHR.Lookup(line); ok {
-		f.l1iMSHR.Merge(m, true, cache.Waiter{Done: done})
+		f.l1iMSHR.Merge(m, true, t)
 		return true
 	}
 	if f.l1iMSHR.FullNow() {
 		return false
 	}
 	m := f.l1iMSHR.Allocate(line, false)
-	f.l1iMSHR.Merge(m, true, cache.Waiter{Done: done})
+	f.l1iMSHR.Merge(m, true, t)
 	h.sendLLC(req, now, line, kindInstr)
 	return true
 }
@@ -855,14 +864,12 @@ func (h *Hierarchy) llcAccess(req int, line uint64, kind reqKind) {
 		if demand && m.Prefetch && h.pf != nil {
 			h.pf.NoteLatePrefetch()
 		}
-		h.llcMSHR.Merge(m, demand, cache.Waiter{})
+		h.llcMSHR.Merge(m, demand, cache.Token{})
 		h.attachL1Fill(req, m, kind)
 		return
 	}
 	if !h.tryLLCMiss(req, line, kind) {
-		// Only the back-pressured path pays for a closure; the common case
-		// (an MSHR is free) allocates nothing here.
-		h.llcRetry = append(h.llcRetry, func() bool { return h.tryLLCMiss(req, line, kind) })
+		h.llcRetry = append(h.llcRetry, llcRetryEntry{line: line, req: int32(req), kind: kind})
 	}
 }
 
@@ -877,7 +884,7 @@ func (h *Hierarchy) tryLLCMiss(req int, line uint64, kind reqKind) bool {
 		if kind != kindPrefetch && m.Prefetch && h.pf != nil {
 			h.pf.NoteLatePrefetch()
 		}
-		h.llcMSHR.Merge(m, kind != kindPrefetch, cache.Waiter{})
+		h.llcMSHR.Merge(m, kind != kindPrefetch, cache.Token{})
 		h.attachL1Fill(req, m, kind)
 		return true
 	}
@@ -897,35 +904,41 @@ func (h *Hierarchy) tryLLCMiss(req int, line uint64, kind reqKind) bool {
 }
 
 // noteEarlyMiss delivers runahead early-miss notifications for data misses
-// that are now known to be DRAM-bound. line arrives in the shared domain
-// and is mapped back to the requestor's local space for the L1 MSHR lookup.
+// that are now known to be DRAM-bound: every listed load hears Miss, and the
+// no-wait load that allocated the MSHR completes right after its notice.
+// Setting FillFromMem records that the notices went out (fillL1 then skips
+// that load's waiter; later merges get their notice at once). line arrives
+// in the shared domain and is mapped back to the requestor's local space for
+// the L1 MSHR lookup.
 func (h *Hierarchy) noteEarlyMiss(req int, line uint64, kind reqKind) {
 	if kind != kindData {
 		return
 	}
 	line &^= reqBase(req)
-	if m, ok := h.fr[req].l1dMSHR.Lookup(line); ok {
+	f := &h.fr[req]
+	if m, ok := f.l1dMSHR.Lookup(line); ok {
 		m.FillFromMem = true
-		for _, f := range m.EarlyMiss {
-			f(h.now)
+		for _, t := range m.EarlyMiss {
+			f.sink.Miss(t, h.now)
+			if t.Kind == cache.TokLoadEarly {
+				f.sink.Done(t, Outcome{When: h.now, Level: LevelMem, Line: line})
+			}
 		}
-		m.EarlyMiss = nil
+		m.EarlyMiss = m.EarlyMiss[:0]
 	}
 }
 
 // attachL1Fill arranges for requestor req's L1 fill when the LLC-level MSHR
-// completes. The waiters are the fill functions cached on the front at
-// construction (the fill loop hands them the line via the Outcome), so no
-// closure is allocated per LLC miss. A prefetch probe attaches no waiter —
-// the LLC fill itself is the whole effect — but still merges so the
-// demand-conversion bookkeeping runs.
+// completes, with a fill token naming the requestor and the L1. A prefetch
+// probe attaches no waiter — the LLC fill itself is the whole effect — but
+// still merges so the demand-conversion bookkeeping runs.
 func (h *Hierarchy) attachL1Fill(req int, m *cache.MSHR, kind reqKind) {
-	var w cache.Waiter
+	w := cache.Token{Req: int32(req)}
 	switch kind {
 	case kindData:
-		w.Done = h.fr[req].fillL1Data
+		w.Kind = cache.TokFillData
 	case kindInstr:
-		w.Done = h.fr[req].fillL1Instr
+		w.Kind = cache.TokFillInstr
 	}
 	h.llcMSHR.Merge(m, kind != kindPrefetch, w)
 }
@@ -953,15 +966,19 @@ func (h *Hierarchy) fillL1(req int, line uint64, kind reqKind, fromMem bool) {
 			}
 		}
 		m := f.l1dMSHR.Complete(line)
+		early := m.FillFromMem // noteEarlyMiss already completed a no-wait owner
 		if fromMem {
 			m.FillFromMem = true
 		}
 		o := Outcome{When: h.now, Level: fillLevel(m), Line: line}
 		for _, w := range m.Waiters {
-			if w.MarkDirty {
+			switch {
+			case w.Kind == cache.TokStore:
 				f.l1d.MarkDirty(line)
+			case w.Kind == cache.TokLoadEarly && early:
+				continue
 			}
-			w.Done(o)
+			f.sink.Done(w, o)
 		}
 		f.l1dMSHR.Recycle(m)
 	case kindInstr:
@@ -975,7 +992,7 @@ func (h *Hierarchy) fillL1(req int, line uint64, kind reqKind, fromMem bool) {
 		}
 		o := Outcome{When: h.now, Level: fillLevel(m), Line: line}
 		for _, w := range m.Waiters {
-			w.Done(o)
+			f.sink.Done(w, o)
 		}
 		f.l1iMSHR.Recycle(m)
 	}
@@ -1009,9 +1026,14 @@ func (h *Hierarchy) fillLLC(line uint64, prefetched bool) {
 			h.pf.NotePrefetchEviction(v.Addr)
 		}
 	}
-	o := Outcome{When: h.now, Level: fillLevel(m), Line: m.LineAddr}
+	// The waiters are fill tokens: each moves the line on into one
+	// requestor's L1.
 	for _, w := range m.Waiters {
-		w.Done(o)
+		rk := kindData
+		if w.Kind == cache.TokFillInstr {
+			rk = kindInstr
+		}
+		h.fillL1(int(w.Req), m.LineAddr, rk, true)
 	}
 	h.llcMSHR.Recycle(m)
 }

@@ -21,13 +21,13 @@ func TestLoadL1Hit(t *testing.T) {
 	h := New(DefaultConfig())
 	var now int64
 	var first, second *Outcome
-	h.Load(now, 0x1000, false, nil, func(o Outcome) { first = &o })
+	load(h, now, 0x1000, false, nil, func(o Outcome) { first = &o })
 	drive(t, h, &now, 10000, func() bool { return first != nil })
 	if first.Level != LevelMem {
 		t.Fatalf("cold load level = %v, want Mem", first.Level)
 	}
 	start := now
-	h.Load(now, 0x1000, false, nil, func(o Outcome) { second = &o })
+	load(h, now, 0x1000, false, nil, func(o Outcome) { second = &o })
 	drive(t, h, &now, 100, func() bool { return second != nil })
 	if second.Level != LevelL1 {
 		t.Fatalf("warm load level = %v, want L1", second.Level)
@@ -42,17 +42,17 @@ func TestLoadLLCHit(t *testing.T) {
 	var now int64
 	var warm *Outcome
 	done := false
-	h.Load(now, 0x2000, false, nil, func(Outcome) { done = true })
+	load(h, now, 0x2000, false, nil, func(Outcome) { done = true })
 	drive(t, h, &now, 10000, func() bool { return done })
 	// Evict from L1 by filling its set: L1D is 32KB/8-way/64B = 64 sets, so
 	// lines 8KB apart collide. 8 more fills push 0x2000 out.
 	for i := 1; i <= 8; i++ {
 		fillDone := false
-		h.Load(now, 0x2000+uint64(i*8192), false, nil, func(Outcome) { fillDone = true })
+		load(h, now, 0x2000+uint64(i*8192), false, nil, func(Outcome) { fillDone = true })
 		drive(t, h, &now, 10000, func() bool { return fillDone })
 	}
 	start := now
-	h.Load(now, 0x2000, false, nil, func(o Outcome) { warm = &o })
+	load(h, now, 0x2000, false, nil, func(o Outcome) { warm = &o })
 	drive(t, h, &now, 1000, func() bool { return warm != nil })
 	if warm.Level != LevelLLC {
 		t.Fatalf("level = %v, want LLC", warm.Level)
@@ -69,7 +69,7 @@ func TestColdMissLatencyIsDRAMBound(t *testing.T) {
 	var now int64
 	var o *Outcome
 	start := now
-	h.Load(now, 0x3000, false, nil, func(x Outcome) { o = &x })
+	load(h, now, 0x3000, false, nil, func(x Outcome) { o = &x })
 	drive(t, h, &now, 10000, func() bool { return o != nil })
 	lat := o.When - start
 	// L1 + LLC tag checks plus a cold DRAM access (~104) and change.
@@ -85,8 +85,8 @@ func TestMSHRMergeNoDuplicateDRAM(t *testing.T) {
 	h := New(DefaultConfig())
 	var now int64
 	count := 0
-	h.Load(now, 0x4000, false, nil, func(Outcome) { count++ })
-	h.Load(now, 0x4008, false, nil, func(Outcome) { count++ }) // same line
+	load(h, now, 0x4000, false, nil, func(Outcome) { count++ })
+	load(h, now, 0x4008, false, nil, func(Outcome) { count++ }) // same line
 	drive(t, h, &now, 10000, func() bool { return count == 2 })
 	if h.DRAMReadsDemand != 1 {
 		t.Fatalf("merged accesses issued %d DRAM reads, want 1", h.DRAMReadsDemand)
@@ -98,7 +98,8 @@ func TestNoWaitLoadNotifiesEarlyAndStillFills(t *testing.T) {
 	var now int64
 	var o *Outcome
 	start := now
-	h.Load(now, 0x5000, true, nil, func(x Outcome) { o = &x })
+	dones, misses := 0, 0
+	load(h, now, 0x5000, true, func(int64) { misses++ }, func(x Outcome) { o = &x; dones++ })
 	drive(t, h, &now, 10000, func() bool { return o != nil })
 	if o.Level != LevelMem {
 		t.Fatalf("level = %v, want Mem", o.Level)
@@ -109,8 +110,11 @@ func TestNoWaitLoadNotifiesEarlyAndStillFills(t *testing.T) {
 	}
 	// The background fill must complete: wait, then the line hits in L1.
 	drive(t, h, &now, 10000, func() bool { return h.Drained() })
+	if dones != 1 || misses != 1 {
+		t.Fatalf("completions/miss notices = %d/%d, want exactly one each (the fill must not complete the load again)", dones, misses)
+	}
 	var warm *Outcome
-	h.Load(now, 0x5000, false, nil, func(x Outcome) { warm = &x })
+	load(h, now, 0x5000, false, nil, func(x Outcome) { warm = &x })
 	drive(t, h, &now, 100, func() bool { return warm != nil })
 	if warm.Level != LevelL1 {
 		t.Fatalf("after background fill, level = %v, want L1", warm.Level)
@@ -121,15 +125,15 @@ func TestNoWaitLoadLLCHitDeliversData(t *testing.T) {
 	h := New(DefaultConfig())
 	var now int64
 	done := false
-	h.Load(now, 0x6000, false, nil, func(Outcome) { done = true })
+	load(h, now, 0x6000, false, nil, func(Outcome) { done = true })
 	drive(t, h, &now, 10000, func() bool { return done })
 	for i := 1; i <= 8; i++ { // push out of L1 as above
 		fd := false
-		h.Load(now, 0x6000+uint64(i*8192), false, nil, func(Outcome) { fd = true })
+		load(h, now, 0x6000+uint64(i*8192), false, nil, func(Outcome) { fd = true })
 		drive(t, h, &now, 10000, func() bool { return fd })
 	}
 	var o *Outcome
-	h.Load(now, 0x6000, true, nil, func(x Outcome) { o = &x })
+	load(h, now, 0x6000, true, nil, func(x Outcome) { o = &x })
 	drive(t, h, &now, 1000, func() bool { return o != nil })
 	if o.Level != LevelLLC {
 		t.Fatalf("no-wait LLC hit level = %v, want LLC", o.Level)
@@ -140,13 +144,13 @@ func TestStoreWriteAllocateAndWriteback(t *testing.T) {
 	h := New(DefaultConfig())
 	var now int64
 	done := false
-	h.Store(now, 0x7000, func(Outcome) { done = true })
+	store(h, now, 0x7000, func(Outcome) { done = true })
 	drive(t, h, &now, 10000, func() bool { return done })
 	// Evict the dirty line from L1: conflicting fills force a writeback to
 	// the LLC (MarkDirty there, no DRAM write yet).
 	for i := 1; i <= 8; i++ {
 		fd := false
-		h.Load(now, 0x7000+uint64(i*8192), false, nil, func(Outcome) { fd = true })
+		load(h, now, 0x7000+uint64(i*8192), false, nil, func(Outcome) { fd = true })
 		drive(t, h, &now, 10000, func() bool { return fd })
 	}
 	if h.DRAMWrites != 0 {
@@ -161,13 +165,13 @@ func TestFetchPath(t *testing.T) {
 	h := New(DefaultConfig())
 	var now int64
 	var o *Outcome
-	h.Fetch(now, 0x400000, func(x Outcome) { o = &x })
+	fetch(h, now, 0x400000, func(x Outcome) { o = &x })
 	drive(t, h, &now, 10000, func() bool { return o != nil })
 	if o.Level != LevelMem {
 		t.Fatalf("cold fetch level = %v", o.Level)
 	}
 	var warm *Outcome
-	h.Fetch(now, 0x400008, func(x Outcome) { warm = &x }) // same line
+	fetch(h, now, 0x400008, func(x Outcome) { warm = &x }) // same line
 	drive(t, h, &now, 100, func() bool { return warm != nil })
 	if warm.Level != LevelL1 {
 		t.Fatalf("warm fetch level = %v, want L1", warm.Level)
@@ -184,7 +188,7 @@ func TestInclusionInvalidatesL1(t *testing.T) {
 	var now int64
 	load := func(addr uint64) {
 		done := false
-		h.Load(now, addr, false, nil, func(Outcome) { done = true })
+		load(h, now, addr, false, nil, func(Outcome) { done = true })
 		drive(t, h, &now, 20000, func() bool { return done })
 	}
 	// LLC: 4KB/2way/64B = 32 sets; same-set stride = 2KB.
@@ -213,7 +217,7 @@ func TestPrefetcherGeneratesRequestsAndHits(t *testing.T) {
 	base := uint64(1 << 24)
 	for i := uint64(0); i < 32; i++ {
 		done := false
-		h.Load(now, base+i*64, false, nil, func(Outcome) { done = true })
+		load(h, now, base+i*64, false, nil, func(Outcome) { done = true })
 		drive(t, h, &now, 20000, func() bool { return done })
 	}
 	if h.DRAMReadsPrefetch == 0 {
@@ -222,7 +226,7 @@ func TestPrefetcherGeneratesRequestsAndHits(t *testing.T) {
 	// With the stream established and fills done, later lines hit in LLC.
 	drive(t, h, &now, 50000, func() bool { return h.Drained() })
 	var o *Outcome
-	h.Load(now, base+33*64, false, nil, func(x Outcome) { o = &x })
+	load(h, now, base+33*64, false, nil, func(x Outcome) { o = &x })
 	drive(t, h, &now, 1000, func() bool { return o != nil })
 	if o.Level == LevelMem {
 		t.Fatal("prefetched line should not miss to DRAM")
@@ -237,9 +241,9 @@ func TestL1DMSHRBackpressure(t *testing.T) {
 	cfg.L1DMSHRs = 2
 	h := New(cfg)
 	var now int64
-	ok1 := h.Load(now, 0x10000, false, nil, func(Outcome) {})
-	ok2 := h.Load(now, 0x20000, false, nil, func(Outcome) {})
-	ok3 := h.Load(now, 0x30000, false, nil, func(Outcome) {})
+	ok1 := load(h, now, 0x10000, false, nil, func(Outcome) {})
+	ok2 := load(h, now, 0x20000, false, nil, func(Outcome) {})
+	ok3 := load(h, now, 0x30000, false, nil, func(Outcome) {})
 	if !ok1 || !ok2 {
 		t.Fatal("loads within MSHR capacity must be accepted")
 	}
@@ -247,7 +251,7 @@ func TestL1DMSHRBackpressure(t *testing.T) {
 		t.Fatal("load beyond MSHR capacity must be rejected")
 	}
 	// Same-line access merges and is accepted even when full.
-	if !h.Load(now, 0x10008, false, nil, func(Outcome) {}) {
+	if !load(h, now, 0x10008, false, nil, func(Outcome) {}) {
 		t.Fatal("mergeable load must be accepted despite full MSHRs")
 	}
 }
@@ -259,7 +263,7 @@ func TestManyOutstandingMissesOverlap(t *testing.T) {
 	var now int64
 	done := false
 	start := now
-	single.Load(now, 1<<20, false, nil, func(Outcome) { done = true })
+	load(single, now, 1<<20, false, nil, func(Outcome) { done = true })
 	drive(t, single, &now, 10000, func() bool { return done })
 	oneLat := now - start
 
@@ -268,7 +272,7 @@ func TestManyOutstandingMissesOverlap(t *testing.T) {
 	count := 0
 	for i := 0; i < 16; i++ {
 		// Spread across banks/channels.
-		if !h.Load(now2, uint64(1<<20)+uint64(i)*64*2, false, nil, func(Outcome) { count++ }) {
+		if !load(h, now2, uint64(1<<20)+uint64(i)*64*2, false, nil, func(Outcome) { count++ }) {
 			t.Fatal("load rejected")
 		}
 	}
@@ -284,7 +288,7 @@ func TestDeterminism(t *testing.T) {
 		var now int64
 		count := 0
 		for i := 0; i < 32; i++ {
-			h.Load(now, uint64(i)*4096, false, nil, func(Outcome) { count++ })
+			load(h, now, uint64(i)*4096, false, nil, func(Outcome) { count++ })
 		}
 		for now = 0; count < 32; now++ {
 			h.Tick(now)
@@ -308,7 +312,7 @@ func TestResetStatsPreservesCacheContents(t *testing.T) {
 	h := New(DefaultConfig())
 	var now int64
 	done := false
-	h.Load(now, 0x8000, false, nil, func(Outcome) { done = true })
+	load(h, now, 0x8000, false, nil, func(Outcome) { done = true })
 	drive(t, h, &now, 10000, func() bool { return done })
 	h.ResetStats()
 	if h.Loads != 0 || h.DRAMReadsDemand != 0 || h.L1D().Hits != 0 {
@@ -316,7 +320,7 @@ func TestResetStatsPreservesCacheContents(t *testing.T) {
 	}
 	// The line is still resident: the next access hits L1.
 	var o *Outcome
-	h.Load(now, 0x8000, false, nil, func(x Outcome) { o = &x })
+	load(h, now, 0x8000, false, nil, func(x Outcome) { o = &x })
 	drive(t, h, &now, 100, func() bool { return o != nil })
 	if o.Level != LevelL1 {
 		t.Fatalf("post-reset access level = %v, want L1 (state lost)", o.Level)
@@ -328,7 +332,7 @@ func TestOnMissFiresForDRAMBoundLoads(t *testing.T) {
 	var now int64
 	missAt := int64(-1)
 	var o *Outcome
-	h.Load(now, 0x9000, false, func(cy int64) { missAt = cy }, func(x Outcome) { o = &x })
+	load(h, now, 0x9000, false, func(cy int64) { missAt = cy }, func(x Outcome) { o = &x })
 	drive(t, h, &now, 10000, func() bool { return o != nil })
 	if missAt < 0 {
 		t.Fatal("onMiss never fired for a DRAM-bound load")
@@ -341,11 +345,11 @@ func TestOnMissFiresForDRAMBoundLoads(t *testing.T) {
 	var now2 int64
 	var miss2 int64 = -1
 	got := 0
-	h2.Load(now2, 0xa000, false, nil, func(Outcome) { got++ })
+	load(h2, now2, 0xa000, false, nil, func(Outcome) { got++ })
 	for now2 = 0; now2 < 40; now2++ {
 		h2.Tick(now2)
 	}
-	h2.Load(now2, 0xa008, false, func(cy int64) { miss2 = cy }, func(Outcome) { got++ })
+	load(h2, now2, 0xa008, false, func(cy int64) { miss2 = cy }, func(Outcome) { got++ })
 	drive(t, h2, &now2, 10000, func() bool { return got == 2 })
 	if miss2 < 0 {
 		t.Fatal("merged load never learned it was DRAM-bound")
@@ -356,11 +360,11 @@ func TestOnMissNotCalledForHits(t *testing.T) {
 	h := New(DefaultConfig())
 	var now int64
 	done := false
-	h.Load(now, 0xb000, false, nil, func(Outcome) { done = true })
+	load(h, now, 0xb000, false, nil, func(Outcome) { done = true })
 	drive(t, h, &now, 10000, func() bool { return done })
 	fired := false
 	done = false
-	h.Load(now, 0xb000, false, func(int64) { fired = true }, func(Outcome) { done = true })
+	load(h, now, 0xb000, false, func(int64) { fired = true }, func(Outcome) { done = true })
 	drive(t, h, &now, 100, func() bool { return done })
 	if fired {
 		t.Fatal("onMiss fired for an L1 hit")
@@ -384,14 +388,14 @@ func TestInclusionFoldsL1Dirtiness(t *testing.T) {
 		drive(t, h, &now, 30000, func() bool { return done })
 	}
 	// Dirty the line in L1 only (write-allocate; LLC copy stays clean).
-	op(func(cb func(Outcome)) bool { return h.Store(now, 0x0000, cb) })
+	op(func(cb func(Outcome)) bool { return store(h, now, 0x0000, cb) })
 	if h.DRAMWrites != 0 {
 		t.Fatal("no writeback should have happened yet")
 	}
 	// Force the LLC set (stride 2KB) to evict line 0 while its dirty copy
 	// still sits in L1.
-	op(func(cb func(Outcome)) bool { return h.Load(now, 0x0800, false, nil, cb) })
-	op(func(cb func(Outcome)) bool { return h.Load(now, 0x1000, false, nil, cb) })
+	op(func(cb func(Outcome)) bool { return load(h, now, 0x0800, false, nil, cb) })
+	op(func(cb func(Outcome)) bool { return load(h, now, 0x1000, false, nil, cb) })
 	drive(t, h, &now, 30000, func() bool { return h.Drained() })
 	if h.L1D().Probe(0x0000) {
 		t.Fatal("inclusion violation")
@@ -422,10 +426,63 @@ func TestDeltaPrefetchKindWorks(t *testing.T) {
 	// A constant 5-line stride the delta engine should cover.
 	for i := uint64(0); i < 24; i++ {
 		done := false
-		h.Load(now, 1<<22+i*5*64, false, nil, func(Outcome) { done = true })
+		load(h, now, 1<<22+i*5*64, false, nil, func(Outcome) { done = true })
 		drive(t, h, &now, 30000, func() bool { return done })
 	}
 	if h.DRAMReadsPrefetch == 0 {
 		t.Fatal("delta engine never prefetched a constant stride")
 	}
+}
+
+// cbSink adapts per-access test callbacks to the token interface: every
+// access gets a fresh Seq that indexes its callbacks.
+type cbSink struct {
+	miss map[uint64]func(int64)
+	done map[uint64]func(Outcome)
+	seq  uint64
+}
+
+func (s *cbSink) Miss(t Token, now int64) {
+	if f := s.miss[t.Seq]; f != nil {
+		f(now)
+	}
+}
+
+func (s *cbSink) Done(t Token, o Outcome) {
+	if f := s.done[t.Seq]; f != nil {
+		f(o)
+	}
+}
+
+// callbacks returns requestor 0's callback sink, installing one on first use.
+func callbacks(h *Hierarchy) *cbSink {
+	if s, ok := h.fr[0].sink.(*cbSink); ok {
+		return s
+	}
+	s := &cbSink{miss: map[uint64]func(int64){}, done: map[uint64]func(Outcome){}}
+	h.SetSink(0, s)
+	return s
+}
+
+func (s *cbSink) token(addr uint64, onMiss func(int64), done func(Outcome)) Token {
+	s.seq++
+	s.miss[s.seq], s.done[s.seq] = onMiss, done
+	return Token{Addr: addr, Seq: s.seq}
+}
+
+// load, store and fetch issue requestor 0's access with per-access
+// callbacks: onMiss (optional) hears the DRAM-bound notice, done the
+// completion.
+func load(h *Hierarchy, now int64, addr uint64, noWait bool, onMiss func(int64), done func(Outcome)) bool {
+	t := callbacks(h).token(addr, onMiss, done)
+	t.NoWait = noWait
+	return h.Load(now, t)
+}
+
+func store(h *Hierarchy, now int64, addr uint64, done func(Outcome)) bool {
+	return h.Store(now, callbacks(h).token(addr, nil, done))
+}
+
+func fetch(h *Hierarchy, now int64, addr uint64, done func(Outcome)) bool {
+	return h.Fetch(now, callbacks(h).token(addr, nil, done))
 }

@@ -102,7 +102,7 @@ func (cl *Cluster) WarpStats() (warps, skipped int64) { return cl.warps, cl.warp
 // the single-core Cycle, fanned out.
 func (cl *Cluster) Step() {
 	cl.now++
-	// Clocks first: hierarchy events fired by Tick invoke core callbacks
+	// Clocks first: hierarchy events fired by Tick deliver core completions
 	// that stamp the owning core's current cycle.
 	for _, c := range cl.cores {
 		c.SyncClock(cl.now)
@@ -234,8 +234,7 @@ func (cl *Cluster) Quiesced() bool {
 }
 
 // Drain runs the cluster to quiescence with every core's fetch starved, the
-// precondition for snapshotting (in-flight work is closures, which have no
-// wire format).
+// precondition for snapshotting (in-flight work has no wire format).
 func (cl *Cluster) Drain() error {
 	for _, c := range cl.cores {
 		c.SetDraining(true)

@@ -9,7 +9,10 @@
 // state the interpreter produces.
 package prog
 
-import "sort"
+import (
+	"encoding/binary"
+	"sort"
+)
 
 const (
 	pageShift = 12
@@ -62,11 +65,7 @@ func (m *Memory) Read64(addr uint64) int64 {
 			return 0
 		}
 		off := addr & pageMask
-		var v uint64
-		for i := uint64(0); i < 8; i++ {
-			v |= uint64(p[off+i]) << (8 * i)
-		}
-		return int64(v)
+		return int64(binary.LittleEndian.Uint64(p[off : off+8]))
 	}
 	var v uint64
 	for i := uint64(0); i < 8; i++ {
