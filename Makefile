@@ -12,8 +12,10 @@ vet:
 # expression rules (determinism, stats hygiene, trace hygiene) and contract
 # analyzers (snapshot completeness, fingerprint coverage, hot-path
 # allocation-freedom, lock discipline), plus suppression hygiene over every
-# //simlint: directive. See DESIGN.md §12, "Contract analyzers".
+# //simlint: directive. See DESIGN.md §12, "Contract analyzers". Every Go
+# file must also be gofmt-clean.
 lint:
+	test -z "$$(gofmt -l .)"
 	go vet ./...
 	go run ./cmd/simlint
 
@@ -28,7 +30,8 @@ check:
 # sweep (twin predictions everywhere, detailed simulation only on promoted
 # regions). Writes BENCH_twin.json: calibration accuracy (IPC MAPE, Pearson
 # r, energy MAPE, per-workload slices), promoted-region fidelity
-# (bit-identical runs, RB-vs-baseline ranking), and the wall-time ratio
+# (bit-identical runs, RB-vs-baseline ranking), figure9 delta signs
+# against full detail (sign_mismatches), and the wall-time ratio
 # against full detail (see DESIGN.md §15). Leaves the calibration artifact
 # at twin_coeffs.json for runahead-sweep/-report -screen.
 bench-twin:

@@ -53,8 +53,6 @@ func main() {
 
 		useScreen = flag.Bool("screen", false, "screen runs through the calibrated analytical twin; only promoted pairs simulate in detail")
 		twinPath  = flag.String("twin", "twin_coeffs.json", "calibrated twin artifact for -screen (from runahead-sweep -calibrate)")
-		scTopK    = flag.Int("screen-topk", 3, "with -screen: promote the k largest twin-predicted RB-vs-baseline deltas")
-		scUnc     = flag.Float64("screen-uncertain", 10, "with -screen: promote benches whose calibration MAPE exceeds this %")
 	)
 	flag.Parse()
 	members, err := workload.ParseNames(*mix)
@@ -96,9 +94,7 @@ func main() {
 				harness.CPIStack(rr)
 			}
 		})
-		sc, err = harness.BuildScreen(r, plan, harness.ScreenOptions{
-			Model: model, TopK: *scTopK, UncertainPct: *scUnc,
-		}, runtime.NumCPU())
+		sc, err = harness.BuildScreen(r, plan, model, runtime.NumCPU())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

@@ -9,43 +9,26 @@ import (
 	"fmt"
 	"os"
 
+	"runaheadsim"
 	"runaheadsim/internal/core"
+	"runaheadsim/internal/harness"
 	"runaheadsim/internal/simcheck"
 	"runaheadsim/internal/workload"
 )
 
-// buildConfig translates the CLI mode flags into a core configuration.
+// buildConfig translates the CLI mode flags into a core configuration,
+// resolving the mode through the facade's table.
 func buildConfig(mode string, pf, enh bool, pfKind string) (core.Config, error) {
 	cfg := core.DefaultConfig()
-	switch mode {
-	case "baseline":
-	case "runahead":
-		cfg.Mode = core.ModeTraditional
-	case "runahead-buffer":
-		cfg.Mode = core.ModeBuffer
-	case "runahead-buffer+cc":
-		cfg.Mode = core.ModeBufferCC
-	case "hybrid":
-		cfg.Mode = core.ModeHybrid
-	default:
-		return cfg, fmt.Errorf("unknown mode %q", mode)
+	m, err := runaheadsim.Mode(mode).CoreMode()
+	if err != nil {
+		return cfg, err
 	}
+	cfg.Mode = m
 	cfg.Enhancements = enh
 	cfg.Mem.EnablePrefetch = pf
 	cfg.Mem.PrefetchKind = pfKind
 	return cfg, nil
-}
-
-// autoWarmup mirrors the harness default: small-footprint benchmarks need
-// their arrays wrapped before steady state emerges.
-func autoWarmup(bench string, warmup uint64) uint64 {
-	if warmup > 0 {
-		return warmup
-	}
-	if spec, ok := workload.SpecOf(bench); ok && spec.Class == workload.Low {
-		return 500_000
-	}
-	return 100_000
 }
 
 // checkpointRun simulates warmup+uops micro-ops, drains, and writes the
@@ -66,8 +49,8 @@ func checkpointRun(bench, mode string, pf, enh bool, pfKind string, uops, warmup
 	if check {
 		chk = simcheck.Attach(c, p, simcheck.Options{})
 	}
-	w := autoWarmup(bench, warmup)
-	st := c.Run(w + uops)
+	spec, _ := workload.SpecOf(bench)
+	st := c.Run(harness.Options{WarmupUops: warmup}.Warmup(spec.Class) + uops)
 	if err := c.Drain(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

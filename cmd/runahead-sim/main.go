@@ -13,10 +13,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"runaheadsim"
 	"runaheadsim/internal/core"
+	"runaheadsim/internal/harness"
 	"runaheadsim/internal/prog"
 	"runaheadsim/internal/simcheck"
 	"runaheadsim/internal/stats"
@@ -28,7 +28,7 @@ import (
 func main() {
 	var (
 		bench  = flag.String("bench", "mcf", "benchmark name (see -list)")
-		mode   = flag.String("mode", "baseline", "baseline | runahead | runahead-buffer | runahead-buffer+cc | hybrid")
+		mode   = flag.String("mode", "baseline", "baseline | runahead | runahead-buffer | runahead-buffer+cc | hybrid | adaptive-hybrid")
 		pf     = flag.Bool("pf", false, "enable the stream prefetcher")
 		pfkind = flag.String("pfkind", "stream", "prefetch engine: stream | delta (with -pf and -trace only)")
 		enh    = flag.Bool("enh", false, "enable the runahead efficiency enhancements")
@@ -117,7 +117,10 @@ func main() {
 		if cycles <= 0 {
 			cycles = 10_000
 		}
-		tracePipeline(*bench, *mode, *pf, *enh, *pfkind, cycles, *trFmt, *trOut, *check, *wdog, *fdump)
+		if err := tracePipeline(*bench, *mode, *pf, *enh, *pfkind, cycles, *trFmt, *trOut, *check, *wdog, *fdump); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -211,11 +214,10 @@ func writeTimeline(tl *stats.Timeline, format, out string) error {
 }
 
 // tracePipeline drops below the facade to attach a cycle-by-cycle tracer.
-func tracePipeline(bench, mode string, pf, enh bool, pfKind string, cycles int64, format, out string, check bool, wdog int64, fdump string) {
+func tracePipeline(bench, mode string, pf, enh bool, pfKind string, cycles int64, format, out string, check bool, wdog int64, fdump string) (err error) {
 	cfg, err := buildConfig(mode, pf, enh, pfKind)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	if wdog > 0 {
 		cfg.WatchdogCycles = wdog
@@ -224,23 +226,20 @@ func tracePipeline(bench, mode string, pf, enh bool, pfKind string, cycles int64
 	}
 	p, err := workload.Load(bench)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	w := io.Writer(os.Stdout)
 	if out != "" {
 		f, err := os.Create(out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		w = f
 	}
 	sink, err := trace.NewSink(format, w)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	c := core.New(cfg, p)
 	// Crash-safe sink: flush and close the trace even when the run dies
@@ -251,14 +250,13 @@ func tracePipeline(bench, mode string, pf, enh bool, pfKind string, cycles int64
 		rec := recover()
 		cerr := c.CloseEventSink()
 		if rec != nil {
-			if path := dumpFlight(fdump, "flight-"+bench+"-"+mode, c); path != "" {
+			if path := harness.WriteFlightDump(fdump, "flight-"+bench+"-"+mode, c); path != "" {
 				rec = fmt.Sprintf("%v\n  (flight recorder dumped to %s)", rec, path)
 			}
 			panic(rec)
 		}
-		if cerr != nil {
-			fmt.Fprintln(os.Stderr, cerr)
-			os.Exit(1)
+		if err == nil {
+			err = cerr
 		}
 	}()
 	var chk *simcheck.Checker
@@ -272,29 +270,7 @@ func tracePipeline(bench, mode string, pf, enh bool, pfKind string, cycles int64
 	if chk != nil {
 		chk.Finish()
 	}
-}
-
-// dumpFlight writes c's flight recorder to dir/<name>.jsonl, returning the
-// path ("" when disabled, empty, or on I/O failure — a crash dump must never
-// mask the crash itself).
-func dumpFlight(dir, name string, c *core.Core) string {
-	fr := c.FlightRecorder()
-	if dir == "" || fr == nil || fr.Len() == 0 {
-		return ""
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return ""
-	}
-	path := filepath.Join(dir, name+".jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		return ""
-	}
-	defer f.Close()
-	if fr.WriteJSONL(f) != nil {
-		return ""
-	}
-	return path
+	return nil
 }
 
 // pipelineDiagram is Figure 6: the out-of-order pipeline with the additions

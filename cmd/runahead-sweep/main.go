@@ -61,9 +61,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		calibrate = fs.Bool("calibrate", false, "fit the analytical twin against detailed runs and write the artifact to -twin")
 		twinPath  = fs.String("twin", "twin_coeffs.json", "calibration artifact path (written by -calibrate, read by -screen)")
 		screen    = fs.Bool("screen", false, "screened sweep: twin predictions everywhere, detailed simulation only on promoted regions (needs a -twin artifact)")
-		scTopK    = fs.Int("screen-topk", 3, "promote this many benchmarks with the largest twin-predicted RB-vs-baseline deltas")
-		scUnc     = fs.Float64("screen-uncertain", 10, "promote benchmarks whose calibration MAPE exceeds this percentage")
-		scCrit    = fs.String("screen-critical", "", "comma-separated benchmarks to always promote to detailed simulation")
 		benchTwin = fs.String("bench-twin", "", "benchmark the twin (calibration accuracy + screened-vs-full sweep cost) and write the JSON report here")
 	)
 	if err := fs.Parse(argv); err != nil {
@@ -78,7 +75,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		return list
 	}
-	benchSet, mixSet, critical := names("benchmarks", *benches), names("mix", *mix), names("screen-critical", *scCrit)
+	benchSet, mixSet := names("benchmarks", *benches), names("mix", *mix)
 	if badList {
 		return 2
 	}
@@ -127,12 +124,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			Phases: *sPhases, BBVWindows: *sBBV}
 	}
 
-	sf := screenFlags{topK: *scTopK, uncertain: *scUnc, critical: critical}
 	if *calibrate {
 		return runCalibrate(*twinPath, opts, benchSet, *workers, stderr)
 	}
 	if *benchTwin != "" {
-		return runBenchTwin(*benchTwin, *twinPath, opts, sf, *workers, stderr)
+		return runBenchTwin(*benchTwin, *twinPath, opts, *workers, stderr)
 	}
 
 	if *cores > 1 || len(mixSet) > 0 {
@@ -169,7 +165,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if !ok {
 			return 1
 		}
-		sc, err = harness.BuildScreen(runner, plan, sf.options(model), *workers)
+		sc, err = harness.BuildScreen(runner, plan, model, *workers)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1

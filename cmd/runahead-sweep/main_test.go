@@ -144,7 +144,6 @@ func TestBenchmarkListFlags(t *testing.T) {
 		{[]string{"-benchmarks", "mcf,,lbm"}, "position 2"},
 		{[]string{"-benchmarks", "mcf,"}, "position 2"},
 		{[]string{"-cores", "2", "-mix", "mcf, nosuch"}, `"nosuch"`},
-		{[]string{"-screen", "-screen-critical", "mcf,gccc"}, `"gccc"`},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != 2 {

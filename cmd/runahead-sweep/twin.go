@@ -19,17 +19,6 @@ import (
 	"runaheadsim/internal/twin"
 )
 
-// screenFlags carries the -screen-* knobs.
-type screenFlags struct {
-	topK      int
-	uncertain float64
-	critical  []string
-}
-
-func (sf screenFlags) options(model *twin.Model) harness.ScreenOptions {
-	return harness.ScreenOptions{Model: model, TopK: sf.topK, UncertainPct: sf.uncertain, Critical: sf.critical}
-}
-
 // runCalibrate handles -calibrate: run the detailed calibration matrix, fit
 // the twin, persist the artifact, and print the accuracy scores.
 func runCalibrate(path string, opts harness.Options, benchSet []string, workers int, stderr io.Writer) int {
@@ -80,8 +69,6 @@ type twinReport struct {
 
 // twinScreenReport compares the screened sweep against the full-detail one.
 type twinScreenReport struct {
-	TopK         int      `json:"topk"`
-	UncertainPct float64  `json:"uncertain_pct"`
 	Promoted     []string `json:"promoted"`
 	DetailedRuns int      `json:"detailed_runs"`
 	TwinRuns     int      `json:"twin_runs"`
@@ -100,6 +87,11 @@ type twinScreenReport struct {
 	RankingMatch         bool `json:"ranking_match"`
 	PromotedBitIdentical bool `json:"promoted_bit_identical"`
 
+	// SignMismatches counts figure9 cells (config vs Base) whose IPC delta
+	// differs in sign, or in being zero, between the screened and the
+	// full-detail sweep.
+	SignMismatches int `json:"sign_mismatches"`
+
 	// Twin prediction error on the non-promoted (twin-answered) pairs
 	// against the full-detail reference.
 	TwinMaxIPCRelErrPct  float64 `json:"twin_max_ipc_rel_err_pct"`
@@ -109,7 +101,7 @@ type twinScreenReport struct {
 // runBenchTwin handles -bench-twin: full-detail reference sweep, calibration
 // (reusing the reference's memoized runs), then a fresh screened sweep —
 // reporting accuracy, promoted-region fidelity, and the wall-time ratio.
-func runBenchTwin(path, twinPath string, opts harness.Options, sf screenFlags, workers int, stderr io.Writer) int {
+func runBenchTwin(path, twinPath string, opts harness.Options, workers int, stderr io.Writer) int {
 	selected, err := selectExperiments("figure9")
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -145,7 +137,7 @@ func runBenchTwin(path, twinPath string, opts harness.Options, sf screenFlags, w
 
 	scr := harness.NewRunner(opts)
 	t0 = time.Now()
-	sc, err := harness.BuildScreen(scr, plan, sf.options(model), workers)
+	sc, err := harness.BuildScreen(scr, plan, model, workers)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -166,8 +158,6 @@ func runBenchTwin(path, twinPath string, opts harness.Options, sf screenFlags, w
 		CalibrationRuns: len(points),
 		Scores:          model.Scores,
 		Screen: twinScreenReport{
-			TopK:              sf.topK,
-			UncertainPct:      sf.uncertain,
 			DetailedRuns:      len(promoted),
 			TwinRuns:          len(plan) - len(promoted),
 			WallFullDetailSec: wallFull,
@@ -198,6 +188,7 @@ func runBenchTwin(path, twinPath string, opts harness.Options, sf screenFlags, w
 	}
 	rep.Screen.PromotedBitIdentical = bitIdent
 	rep.Screen.RankingMatch = bitIdent && rankingMatches(ref, scr, promotedBenches)
+	rep.Screen.SignMismatches = signMismatches(ref, scr, plan)
 
 	var errSum, errMax float64
 	var n int
@@ -228,15 +219,14 @@ func runBenchTwin(path, twinPath string, opts harness.Options, sf screenFlags, w
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	fmt.Fprintf(stderr, "bench-twin: IPC MAPE %.2f%%, r %.4f; screened %d/%d runs detailed, wall %.2fs vs %.2fs full (%.1fx), ranking match %v\n",
+	fmt.Fprintf(stderr, "bench-twin: IPC MAPE %.2f%%, r %.4f; screened %d/%d runs detailed, wall %.2fs vs %.2fs full (%.1fx), ranking match %v, %d sign mismatches\n",
 		rep.Scores.MAPEPct, rep.Scores.PearsonR, rep.Screen.DetailedRuns, len(plan),
-		wallScreened, wallFull, rep.Screen.WallRatio, rep.Screen.RankingMatch)
+		wallScreened, wallFull, rep.Screen.WallRatio, rep.Screen.RankingMatch, rep.Screen.SignMismatches)
 	return 0
 }
 
 // rankingMatches reports whether the promoted benches order identically by
-// RB-vs-baseline IPC delta under both runners (ties broken by name, as the
-// screening ranking does).
+// RB-vs-baseline IPC delta under both runners (ties broken by name).
 func rankingMatches(a, b *harness.Runner, benches []string) bool {
 	order := func(r *harness.Runner) []string {
 		type d struct {
@@ -268,4 +258,27 @@ func rankingMatches(a, b *harness.Runner, benches []string) bool {
 		}
 	}
 	return true
+}
+
+// signMismatches counts the plan's non-baseline pairs whose IPC delta vs
+// the bench's Base run has a different sign (-, 0 or +) under the screened
+// runner than under the full-detail one.
+func signMismatches(ref, scr *harness.Runner, plan []harness.PlannedRun) int {
+	sign := func(r *harness.Runner, pr harness.PlannedRun) int {
+		d := r.Result(pr.Bench, pr.Config).IPC - r.Result(pr.Bench, harness.Baseline).IPC
+		switch {
+		case d > 0:
+			return 1
+		case d < 0:
+			return -1
+		}
+		return 0
+	}
+	n := 0
+	for _, pr := range plan {
+		if pr.Config != harness.Baseline && sign(ref, pr) != sign(scr, pr) {
+			n++
+		}
+	}
+	return n
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"io"
-
-	"runaheadsim/internal/trace"
-)
+import "runaheadsim/internal/trace"
 
 // sampleInterval is how often an attached tracer emits occupancy Sample
 // events (the Chrome sink's ROB/MSHR counter tracks).
@@ -18,17 +14,6 @@ type Tracer struct {
 	sink  trace.Sink
 	limit int64 // stop tracing at this cycle (0 = no limit)
 	ev    trace.Event
-}
-
-// SetTracer starts emitting the classic text trace to w for every cycle
-// strictly before limit (0 for unlimited). Passing nil w disables tracing.
-// It is a convenience wrapper over SetEventSink with a trace.TextSink.
-func (c *Core) SetTracer(w io.Writer, limit int64) {
-	if w == nil {
-		c.SetEventSink(nil, 0)
-		return
-	}
-	c.SetEventSink(trace.NewTextSink(w), limit)
 }
 
 // SetEventSink attaches a structured event sink, replacing any previous one.

@@ -11,7 +11,7 @@ import (
 func TestTracerEmitsPipelineEvents(t *testing.T) {
 	var sb strings.Builder
 	c := New(testConfig(ModeNone), simpleLoop())
-	c.SetTracer(&sb, 0)
+	c.SetEventSink(trace.NewTextSink(&sb), 0)
 	c.Run(200)
 	out := sb.String()
 	for _, want := range []string{"fetch", "dispatch", "issue", "complete", "commit"} {
@@ -27,7 +27,7 @@ func TestTracerEmitsPipelineEvents(t *testing.T) {
 func TestTracerRunaheadEvents(t *testing.T) {
 	var sb strings.Builder
 	c := New(testConfig(ModeBufferCC), gatherLoop(8))
-	c.SetTracer(&sb, 0)
+	c.SetEventSink(trace.NewTextSink(&sb), 0)
 	c.Run(5_000)
 	out := sb.String()
 	if !strings.Contains(out, "runahead enter") || !strings.Contains(out, "mode=buffer") {
@@ -47,7 +47,7 @@ func TestTracerRunaheadEvents(t *testing.T) {
 func TestTracerLimitStopsOutput(t *testing.T) {
 	var sb strings.Builder
 	c := New(testConfig(ModeNone), simpleLoop())
-	c.SetTracer(&sb, 50)
+	c.SetEventSink(trace.NewTextSink(&sb), 50)
 	c.Run(2_000)
 	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
 		if !strings.HasPrefix(line, "cycle=") {
@@ -63,7 +63,7 @@ func TestTracerLimitStopsOutput(t *testing.T) {
 			t.Fatalf("trace line at or beyond the limit: %q", line)
 		}
 	}
-	c.SetTracer(nil, 0)
+	c.SetEventSink(nil, 0)
 	n := sb.Len()
 	c.Run(3_000)
 	if sb.Len() != n {
@@ -142,7 +142,7 @@ func TestEventSinkChromeThroughCore(t *testing.T) {
 func TestTracerSquashEvents(t *testing.T) {
 	var sb strings.Builder
 	c := New(testConfig(ModeNone), simpleLoop())
-	c.SetTracer(&sb, 0)
+	c.SetEventSink(trace.NewTextSink(&sb), 0)
 	c.Run(2_000)
 	if c.Stats().SquashedUops > 0 && !strings.Contains(sb.String(), "squash") {
 		t.Fatal("uops were squashed but no squash events were traced")

@@ -517,9 +517,6 @@ func (c *Controller) grant(r *Request, now int64) {
 // model: every miss or conflict activates a row).
 func (c *Controller) Activates() uint64 { return c.RowMisses + c.RowConflicts }
 
-// Requests returns the total granted request count.
-func (c *Controller) Requests() uint64 { return c.Reads + c.Writes }
-
 // ResetStats zeroes the statistics counters, preserving bank and queue state.
 func (c *Controller) ResetStats() {
 	c.Reads, c.Writes = 0, 0

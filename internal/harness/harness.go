@@ -165,7 +165,9 @@ func DefaultOptions() Options {
 	return Options{MeasureUops: 150_000}
 }
 
-func (o Options) warmup(class workload.Class) uint64 {
+// Warmup returns the warmup micro-ops a run of a benchmark in class uses:
+// WarmupUops when set, else the class default.
+func (o Options) Warmup(class workload.Class) uint64 {
 	if o.WarmupUops > 0 {
 		return o.WarmupUops
 	}

@@ -119,7 +119,7 @@ func (r *Runner) runMix(mix []string, rc RunConfig) *MixResult {
 		if !ok {
 			panic(fmt.Sprintf("harness: unknown benchmark %q in mix", b))
 		}
-		if w := r.opts.warmup(spec.Class); w > warmup {
+		if w := r.opts.Warmup(spec.Class); w > warmup {
 			warmup = w
 		}
 		progs[i] = workload.MustLoad(b)

@@ -52,10 +52,10 @@ func chunkRun(c *core.Core, target uint64, report func(done uint64)) *core.Stats
 	return st
 }
 
-// writeFlightDump writes c's flight-recorder ring to dir/<name>.jsonl,
+// WriteFlightDump writes c's flight-recorder ring to dir/<name>.jsonl,
 // returning the path ("" when disabled, empty, or on I/O failure — a crash
 // dump must never mask the crash).
-func writeFlightDump(dir, name string, c *core.Core) string {
+func WriteFlightDump(dir, name string, c *core.Core) string {
 	fr := c.FlightRecorder()
 	if dir == "" || fr == nil || fr.Len() == 0 {
 		return ""

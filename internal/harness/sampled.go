@@ -335,7 +335,7 @@ func (r *Runner) runDetailed(bench string, rc RunConfig, spec workload.Spec) (*R
 	cfg := r.cfgFor(rc)
 	p := workload.MustLoad(bench)
 
-	full := r.opts.warmup(spec.Class)
+	full := r.opts.Warmup(spec.Class)
 	measure := r.opts.MeasureUops
 	label := rc.Label()
 	m := r.opts.Monitor
@@ -495,7 +495,7 @@ func (r *Runner) runInterval(bench, label string, cfg core.Config, p *prog.Progr
 	defer func() {
 		if rec := recover(); rec != nil {
 			if c != nil {
-				if path := writeFlightDump(r.opts.FlightDumpDir, flight, c); path != "" {
+				if path := WriteFlightDump(r.opts.FlightDumpDir, flight, c); path != "" {
 					rec = fmt.Sprintf("%v\n  (flight recorder dumped to %s)", rec, path)
 				}
 			}

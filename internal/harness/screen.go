@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,7 +37,7 @@ func (r *Runner) twinProfile(bench string) *twin.WorkloadProfile {
 		t0 := time.Now()
 		p := workload.MustLoad(bench)
 		m := twin.MachineFrom(twinMachineConfig())
-		e.wp = twin.BuildProfile(bench, p, m, r.opts.warmup(spec.Class), r.opts.MeasureUops)
+		e.wp = twin.BuildProfile(bench, p, m, r.opts.Warmup(spec.Class), r.opts.MeasureUops)
 		atomic.AddInt64(&r.profileWallNanos, int64(time.Since(t0)))
 	})
 	return e.wp
@@ -146,24 +145,6 @@ func (r *Runner) buildProfiles(benches []string, workers int) {
 	wg.Wait()
 }
 
-// ScreenOptions tunes the screening tier's promotion policy.
-type ScreenOptions struct {
-	// Model is the calibrated twin (required).
-	Model *twin.Model
-	// TopK promotes the benches with the largest twin-predicted
-	// RB-vs-baseline IPC deltas — the regions the headline figures hinge
-	// on. Zero means 3.
-	TopK int
-	// UncertainPct promotes benches whose calibration-time IPC MAPE
-	// exceeds this percentage (or that were never calibrated): where the
-	// twin knows it is wrong, the detailed simulator decides. Zero means
-	// 10.
-	UncertainPct float64
-	// Critical benches are always promoted (figure-critical cells the
-	// caller refuses to take from the twin).
-	Critical []string
-}
-
 // ScreenRow is one bench's screening decision, for the provenance table.
 type ScreenRow struct {
 	Bench        string  `json:"bench"`
@@ -182,26 +163,22 @@ type Screen struct {
 	promoted map[string]bool
 }
 
-// BuildScreen profiles every bench the plan touches, evaluates the twin
-// across the matrix, and decides promotions: top-k twin-predicted
-// RB-vs-baseline deltas, twin-uncertain benches, and caller-critical ones.
+// BuildScreen profiles every bench the plan touches and promotes to
+// detailed simulation each bench whose delta signs the twin cannot settle:
+// one never calibrated, or one where some calibration configuration's
+// twin-predicted IPC delta vs Base, Δ%, is nonzero yet within the bench's
+// calibration MAPE carried by both sides of the ratio:
+// |Δ| ≤ 2·MAPE·(1+Δ/100). A zero Δ is settled: the twin predicts it only
+// for a bench with no DRAM stall cluster, which cannot enter runahead.
 // Configurations the twin cannot model (prefetchers, DepTrack, structure-
 // size overrides) are always simulated in detail regardless of bench.
-func BuildScreen(r *Runner, plan []PlannedRun, so ScreenOptions, workers int) (*Screen, error) {
-	if so.Model == nil {
+func BuildScreen(r *Runner, plan []PlannedRun, model *twin.Model, workers int) (*Screen, error) {
+	if model == nil {
 		return nil, fmt.Errorf("harness: screening needs a calibrated twin model")
 	}
-	if so.Model.Fingerprint != TwinFingerprint() {
+	if model.Fingerprint != TwinFingerprint() {
 		return nil, fmt.Errorf("harness: twin model fingerprint %016x does not match this machine (%016x): recalibrate",
-			so.Model.Fingerprint, TwinFingerprint())
-	}
-	topK := so.TopK
-	if topK <= 0 {
-		topK = 3
-	}
-	uncertain := so.UncertainPct
-	if uncertain <= 0 {
-		uncertain = 10
+			model.Fingerprint, TwinFingerprint())
 	}
 
 	var benches []string
@@ -215,71 +192,57 @@ func BuildScreen(r *Runner, plan []PlannedRun, so ScreenOptions, workers int) (*
 	r.buildProfiles(benches, workers)
 
 	sc := &Screen{
-		model:    so.Model,
+		model:    model,
 		machine:  twin.MachineFrom(twinMachineConfig()),
 		promoted: make(map[string]bool),
 	}
-	critical := map[string]bool{}
-	for _, b := range so.Critical {
-		critical[b] = true
-	}
-
-	type cand struct {
-		bench string
-		delta float64
-		mape  float64
-	}
-	cands := make([]cand, 0, len(benches))
 	for _, bench := range benches {
-		spec, ok := workload.SpecOf(bench)
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown benchmark %q", bench)
-		}
-		wp := r.twinProfile(bench)
-		base, err := so.Model.Predict(twin.PointFrom(wp, sc.machine, core.ModeNone, spec.Class.String()))
-		if err != nil {
+		row := ScreenRow{Bench: bench, Provenance: ProvenanceTwin, MAPEPct: model.WorkloadMAPE(bench)}
+		if row.MAPEPct < 0 {
+			row.Reason = "uncalibrated"
+		} else if err := sc.settle(r, &row); err != nil {
 			return nil, err
-		}
-		rb, err := so.Model.Predict(twin.PointFrom(wp, sc.machine, core.ModeBuffer, spec.Class.String()))
-		if err != nil {
-			return nil, err
-		}
-		delta := 100 * (rb.IPC - base.IPC) / base.IPC
-		cands = append(cands, cand{bench: bench, delta: delta, mape: so.Model.WorkloadMAPE(bench)})
-	}
-
-	// Top-k by twin-predicted |delta|, name-tie-broken for determinism.
-	ranked := make([]cand, len(cands))
-	copy(ranked, cands)
-	sort.SliceStable(ranked, func(a, b int) bool {
-		da, db := math.Abs(ranked[a].delta), math.Abs(ranked[b].delta)
-		if da != db {
-			return da > db
-		}
-		return ranked[a].bench < ranked[b].bench
-	})
-	topSet := map[string]bool{}
-	for i := 0; i < topK && i < len(ranked); i++ {
-		topSet[ranked[i].bench] = true
-	}
-
-	for _, c := range cands {
-		row := ScreenRow{Bench: c.bench, TwinDeltaPct: c.delta, MAPEPct: c.mape, Provenance: ProvenanceTwin}
-		switch {
-		case critical[c.bench]:
-			row.Reason = "critical"
-		case c.mape < 0 || c.mape > uncertain:
-			row.Reason = "uncertain"
-		case topSet[c.bench]:
-			row.Reason = "top-k delta"
 		}
 		if row.Reason != "" {
 			row.Provenance = ProvenanceDetailed
-			sc.promoted[c.bench] = true
+			sc.promoted[bench] = true
 		}
 		sc.rows = append(sc.rows, row)
 	}
 	return sc, nil
+}
+
+// settle fills row's twin RB delta and, when some calibration
+// configuration's delta vs Base is unsettled, the promotion reason naming
+// the first such configuration.
+func (sc *Screen) settle(r *Runner, row *ScreenRow) error {
+	spec, ok := workload.SpecOf(row.Bench)
+	if !ok {
+		return fmt.Errorf("harness: unknown benchmark %q", row.Bench)
+	}
+	wp := r.twinProfile(row.Bench)
+	ipc := func(rc RunConfig) (float64, error) {
+		p, err := sc.model.Predict(twin.PointFrom(wp, sc.machine, rc.Mode, spec.Class.String()))
+		return p.IPC, err
+	}
+	base, err := ipc(Baseline)
+	if err != nil {
+		return err
+	}
+	for _, rc := range CalibrationConfigs() {
+		v, err := ipc(rc)
+		if err != nil {
+			return err
+		}
+		delta := 100 * (v - base) / base
+		if rc == Buffer {
+			row.TwinDeltaPct = delta
+		}
+		if row.Reason == "" && delta != 0 && math.Abs(delta) <= 2*row.MAPEPct*(1+delta/100) {
+			row.Reason = "unsettled " + rc.Label()
+		}
+	}
+	return nil
 }
 
 // WantsDetailed reports whether this pair must run on the detailed
@@ -316,15 +279,15 @@ func (sc *Screen) Table() Table {
 	}
 	var promoted int
 	for _, row := range sc.rows {
-		mape := "-"
+		delta, mape := "-", "-"
 		if row.MAPEPct >= 0 {
-			mape = pct(row.MAPEPct)
+			delta, mape = pct(row.TwinDeltaPct), pct(row.MAPEPct)
 		}
 		reason := row.Reason
 		if reason == "" {
 			reason = "-"
 		}
-		t.AddRow(row.Bench, row.Provenance, reason, pct(row.TwinDeltaPct), mape)
+		t.AddRow(row.Bench, row.Provenance, reason, delta, mape)
 		if row.Provenance == ProvenanceDetailed {
 			promoted++
 		}

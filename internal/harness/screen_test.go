@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"math"
 	"testing"
 
 	"runaheadsim/internal/core"
+	"runaheadsim/internal/twin"
+	"runaheadsim/internal/workload"
 )
 
 // TestKeyCollisionResistance is the regression test for the memo-key
@@ -43,9 +46,10 @@ func TestKeyCollisionResistance(t *testing.T) {
 var screenBenches = []string{"mcf", "zeusmp", "calculix", "gamess"}
 
 // TestCalibrateScreenPromoteRoundTrip exercises the whole screening tier on
-// a reduced matrix: calibrate a twin, build a screen, and check promotion
-// reasons, provenance tagging, and — the acceptance property — that promoted
-// pairs are bit-identical to a fresh full-detail runner.
+// a reduced matrix: calibrate a twin, build a screen, and check that the
+// promoted benches are exactly the ones whose deltas the twin cannot
+// settle, that provenance is tagged, and — the acceptance property — that
+// detailed pairs are bit-identical to a fresh full-detail runner.
 func TestCalibrateScreenPromoteRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -75,9 +79,10 @@ func TestCalibrateScreenPromoteRoundTrip(t *testing.T) {
 			plan = append(plan, PlannedRun{Bench: b, Config: rc})
 		}
 	}
-	// TopK=1 and a huge uncertainty threshold so some benches stay on the
-	// twin; mcf is pinned detailed as figure-critical.
-	sc, err := BuildScreen(r, plan, ScreenOptions{Model: model, TopK: 1, UncertainPct: 1e9, Critical: []string{"mcf"}}, 4)
+	// This matrix may settle every bench; an out-of-domain pair still runs
+	// in detail, so the bit-for-bit comparison below always has a subject.
+	plan = append(plan, PlannedRun{Bench: "mcf", Config: Baseline.WithPF()})
+	sc, err := BuildScreen(r, plan, model, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +93,49 @@ func TestCalibrateScreenPromoteRoundTrip(t *testing.T) {
 	if len(rows) != len(screenBenches) {
 		t.Fatalf("screen rows = %d, want %d", len(rows), len(screenBenches))
 	}
-	if got := rows["mcf"]; got.Reason != "critical" || got.Provenance != ProvenanceDetailed {
-		t.Fatalf("mcf row = %+v, want critical/detailed", got)
-	}
-	var twinBenches []string
+
+	// A bench is unsettled when some configuration's twin-predicted IPC
+	// delta vs Base is nonzero but within its calibration error on both
+	// sides of the ratio.
+	m := twin.MachineFrom(twinMachineConfig())
+	var promoted, twinBenches []string
 	for _, b := range screenBenches {
-		if rows[b].Provenance == ProvenanceTwin {
+		spec, _ := workload.SpecOf(b)
+		ipc := func(rc RunConfig) float64 {
+			p, err := model.Predict(twin.PointFrom(r.twinProfile(b), m, rc.Mode, spec.Class.String()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p.IPC
+		}
+		mape := model.WorkloadMAPE(b)
+		unsettled := false
+		for _, rc := range CalibrationConfigs() {
+			d := 100 * (ipc(rc) - ipc(Baseline)) / ipc(Baseline)
+			unsettled = unsettled || d != 0 && math.Abs(d) <= 2*mape*(1+d/100)
+		}
+		if got := rows[b].Provenance == ProvenanceDetailed; got != unsettled {
+			t.Errorf("%s: promoted %v, unsettled %v (row %+v)", b, got, unsettled, rows[b])
+		}
+		if unsettled {
+			promoted = append(promoted, b)
+		} else {
 			twinBenches = append(twinBenches, b)
 		}
 	}
+	t.Logf("promoted %v, on the twin %v", promoted, twinBenches)
 	if len(twinBenches) == 0 {
 		t.Fatal("no bench stayed on the twin; the round trip tests nothing")
 	}
+	// A bench the twin was never calibrated on always runs in detail.
+	other, err := BuildScreen(r, []PlannedRun{{Bench: "lbm", Config: Buffer}}, model, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := other.Rows()[0]; row.Reason != "uncalibrated" || !other.WantsDetailed("lbm", Buffer) {
+		t.Errorf("uncalibrated bench: row %+v, want promoted as uncalibrated", row)
+	}
+
 	// Out-of-domain configs force detail even on twin benches.
 	if !sc.WantsDetailed(twinBenches[0], Baseline.WithPF()) {
 		t.Error("prefetch configs must always run detailed")
@@ -113,9 +149,11 @@ func TestCalibrateScreenPromoteRoundTrip(t *testing.T) {
 	scr := NewRunner(opts)
 	scr.SetScreen(sc)
 	detail := NewRunner(opts)
+	var compared int
 	for _, pr := range plan {
 		got := scr.Result(pr.Bench, pr.Config)
 		if sc.WantsDetailed(pr.Bench, pr.Config) {
+			compared++
 			if got.Provenance != ProvenanceDetailed {
 				t.Fatalf("%s/%s: provenance %q, want detailed", pr.Bench, pr.Config.Label(), got.Provenance)
 			}
@@ -143,6 +181,10 @@ func TestCalibrateScreenPromoteRoundTrip(t *testing.T) {
 		}
 	}
 
+	if compared == 0 {
+		t.Fatal("no detailed pair was compared against full detail")
+	}
+
 	// The provenance table mirrors the decisions.
 	tb := sc.Table()
 	if len(tb.Rows) != len(screenBenches) {
@@ -162,7 +204,7 @@ func TestBuildScreenRejectsForeignModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	model.Fingerprint++
-	if _, err := BuildScreen(r, []PlannedRun{{Bench: "mcf", Config: Baseline}}, ScreenOptions{Model: model}, 2); err == nil {
+	if _, err := BuildScreen(r, []PlannedRun{{Bench: "mcf", Config: Baseline}}, model, 2); err == nil {
 		t.Fatal("mismatched fingerprint must be rejected")
 	}
 }

@@ -509,21 +509,13 @@ func (h *Hierarchy) TotalDRAMRequests() uint64 {
 	return h.DRAMReadsDemand + h.DRAMReadsPrefetch + h.DRAMWrites
 }
 
-// OutstandingDataMisses returns requestor 0's in-flight L1D misses;
-// OutstandingDataMissesR addresses any requestor.
-func (h *Hierarchy) OutstandingDataMisses() int { return h.fr[0].l1dMSHR.Outstanding() }
+// OutstandingDataMissesR returns requestor req's in-flight L1D misses.
 func (h *Hierarchy) OutstandingDataMissesR(req int) int {
 	return h.fr[req].l1dMSHR.Outstanding()
 }
 
-// MSHRFiles returns requestor 0's MSHR files plus the shared LLC file, so
-// the self-profiling exporter can read their pool counters. MSHRFilesR
-// addresses any requestor's private files.
-func (h *Hierarchy) MSHRFiles() (l1i, l1d, llc *cache.MSHRFile) {
-	return h.fr[0].l1iMSHR, h.fr[0].l1dMSHR, h.llcMSHR
-}
-
-// MSHRFilesR returns requestor req's private L1 MSHR files.
+// MSHRFilesR returns requestor req's private L1 MSHR files, so the
+// self-profiling exporter can read their pool counters.
 func (h *Hierarchy) MSHRFilesR(req int) (l1i, l1d *cache.MSHRFile) {
 	return h.fr[req].l1iMSHR, h.fr[req].l1dMSHR
 }
@@ -702,16 +694,14 @@ func (h *Hierarchy) NextEvent() int64 {
 // leaves nothing behind.
 func (h *Hierarchy) Load(now int64, t Token) bool { return h.LoadR(0, now, t) }
 
-// LoadHit is the allocation-free fast path for the common L1D-hit case: if
-// addr hits, it counts the access exactly as Load's hit path would (Loads,
-// the cache's hit statistic and LRU refresh) and reports true, leaving the
-// completion timing — L1Latency cycles, like every hierarchy hop — to the
-// caller, which can schedule a typed event of its own instead of routing the
-// completion through the hierarchy. On a miss nothing is counted or
-// disturbed and the caller falls back to Load. LoadHitR addresses any
-// requestor.
-func (h *Hierarchy) LoadHit(addr uint64) bool { return h.LoadHitR(0, addr) }
-
+// LoadHitR is the allocation-free fast path for requestor req's common
+// L1D-hit case: if addr hits, it counts the access exactly as Load's hit
+// path would (Loads, the cache's hit statistic and LRU refresh) and reports
+// true, leaving the completion timing — L1Latency cycles, like every
+// hierarchy hop — to the caller, which can schedule a typed event of its own
+// instead of routing the completion through the hierarchy. On a miss nothing
+// is counted or disturbed and the caller falls back to Load.
+//
 //simlint:hotpath
 func (h *Hierarchy) LoadHitR(req int, addr uint64) bool {
 	f := &h.fr[req]

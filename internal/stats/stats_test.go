@@ -223,8 +223,8 @@ func TestScaleU64(t *testing.T) {
 	cases := []struct{ v, num, den, want uint64 }{
 		{10, 1, 1, 10},
 		{10, 3, 1, 30},
-		{10, 1, 3, 3},   // 3.33 rounds to 3
-		{10, 1, 4, 3},   // 2.5 rounds to 3 (round half up)
+		{10, 1, 3, 3}, // 3.33 rounds to 3
+		{10, 1, 4, 3}, // 2.5 rounds to 3 (round half up)
 		{0, 7, 3, 0},
 		{1 << 62, 1000, 1, math.MaxUint64}, // overflowing quotient saturates
 		{1 << 40, 1 << 30, 1 << 20, 1 << 50},

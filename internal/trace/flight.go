@@ -17,8 +17,7 @@ import (
 // occupancy samples leading up to the wedge.
 //
 // Ring is single-goroutine, like the core that feeds it. It implements Sink
-// so it can also sit behind a MultiSink or be fed by anything that emits
-// trace events.
+// so anything that emits trace events can feed it.
 type Ring struct {
 	buf     []Event
 	next    int

@@ -352,24 +352,3 @@ func appendBoolField(b []byte, name string, v bool) []byte {
 	b = strconv.AppendBool(b, v)
 	return b
 }
-
-// MultiSink fans every event out to several sinks.
-type MultiSink []Sink
-
-// Emit implements Sink.
-func (m MultiSink) Emit(ev *Event) {
-	for _, s := range m {
-		s.Emit(ev)
-	}
-}
-
-// Close closes every sink, returning the first error.
-func (m MultiSink) Close() error {
-	var first error
-	for _, s := range m {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

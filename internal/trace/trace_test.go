@@ -194,16 +194,3 @@ func TestNewSinkFactory(t *testing.T) {
 		t.Error("NewSink accepted an unknown format")
 	}
 }
-
-func TestMultiSinkFansOut(t *testing.T) {
-	var a, b strings.Builder
-	m := MultiSink{NewTextSink(&a), NewJSONLSink(&b)}
-	ev := Event{Cycle: 5, Kind: Issue, Seq: 9, Op: "add"}
-	m.Emit(&ev)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(a.String(), "issue") || !strings.Contains(b.String(), `"kind":"issue"`) {
-		t.Errorf("multisink did not reach both sinks: %q / %q", a.String(), b.String())
-	}
-}

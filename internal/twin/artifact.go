@@ -11,7 +11,7 @@ import (
 // Bump it whenever the feature vector, grouping, or JSON layout changes:
 // Load refuses mismatched versions, forcing a recalibration instead of
 // silently applying stale coefficients to new features.
-const ArtifactVersion = 1
+const ArtifactVersion = 2
 
 // artifactFile is the on-disk form. The fingerprint travels as hex (JSON
 // numbers cannot carry 64-bit values losslessly).

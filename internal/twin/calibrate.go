@@ -17,7 +17,7 @@ import (
 // The fit is hierarchical: each mode first fits one pooled coefficient set
 // over all its points (weak ridge toward zero), then each class group
 // refits with a ridge *toward the pooled set*. Class groups are small (a
-// dozen points against ten features), so an unshrunk fit interpolates with
+// dozen points against eight features), so an unshrunk fit interpolates with
 // wild mutually-canceling coefficients that generalize badly; shrinkage
 // keeps a group's coefficients at the pooled values except where its own
 // points carry real evidence.
@@ -237,27 +237,6 @@ func Fit(points []Point, machine Machine, fingerprint uint64, measureUops uint64
 	}
 	m.Scales = scales
 
-	// Per-group residual MAPE (the model's own uncertainty signal), then
-	// overall scores on the full training set.
-	for gi := range m.Groups {
-		g := &m.Groups[gi]
-		var sum float64
-		var n int
-		for _, pt := range points {
-			if m.group(pt.Mode, pt.Class) != g {
-				continue
-			}
-			pred, err := m.Predict(pt)
-			if err != nil {
-				return nil, err
-			}
-			sum += math.Abs(float64(pred.Cycles)-pt.DetCycles) / pt.DetCycles
-			n++
-		}
-		if n > 0 {
-			g.MAPEPct = 100 * sum / float64(n)
-		}
-	}
 	sc, err := m.Score(points)
 	if err != nil {
 		return nil, err

@@ -31,17 +31,9 @@ const (
 	// FDRAMSerial: the dataflow critical path's excess under full DRAM
 	// latency — dependent miss chains that MLP cannot overlap.
 	FDRAMSerial
-	// FDRAMWrite: DRAM write traffic — store misses plus dirty writebacks —
-	// times the DRAM latency. Nominally latency-hidden, but write traffic
-	// competes with demand fills for bank and bus bandwidth; the
-	// coefficient learns how much of it leaks into stall time.
-	FDRAMWrite
 	// FCov: runahead-coverable misses times the DRAM latency (zero for the
 	// baseline; expected negative coefficient — covered stalls vanish).
 	FCov
-	// FRAOver: runahead interval count (entry/exit flush overhead charge;
-	// zero for the baseline).
-	FRAOver
 	// FBias: committed uops / 1000 — a per-kilouop bias absorbing costs
 	// proportional to progress that no other term carries.
 	FBias
@@ -99,14 +91,12 @@ func PointFrom(wp *WorkloadProfile, m Machine, mode core.Mode, class string) Poi
 	if ser := float64(wp.CPFull - wp.CPNoDRAM); ser > 0 {
 		x[FDRAMSerial] = ser
 	}
-	x[FDRAMWrite] = float64(wp.DRAMStores+wp.Writebacks) * float64(m.DRAMLat)
 	if mode != core.ModeNone {
 		cov := wp.CoveredAny
 		if mode.UsesBuffer() {
 			cov = wp.CoveredChain
 		}
 		x[FCov] = float64(cov) * float64(m.DRAMLat)
-		x[FRAOver] = float64(wp.Clusters)
 	}
 	x[FBias] = float64(wp.Mix.Uops) / 1000
 
@@ -149,12 +139,7 @@ type Group struct {
 
 	Theta       []float64 `json:"theta"`
 	EnergyTheta []float64 `json:"energy_theta"`
-
-	// MAPEPct is the fit residual of this group's own calibration points —
-	// the model's self-reported uncertainty for predictions it makes with
-	// these coefficients.
-	MAPEPct float64 `json:"mape_pct"`
-	Points  int     `json:"points"`
+	Points      int       `json:"points"`
 }
 
 // BenchScale is one workload's calibration anchor: the geometric-mean ratio
@@ -193,48 +178,28 @@ func (m *Model) scaleFor(bench string) (cycles, energy float64) {
 	return 1, 1
 }
 
-// group resolves the coefficient set for (mode, class). Resolution widens
-// stepwise: the exact mode in the exact class group, then the mode's pooled
-// group, then any mode of the same runahead mechanism family (buffer-driven
-// vs front-end-driven vs none) — so an uncalibrated variant like
-// ModeAdaptive borrows the nearest calibrated mechanism's coefficients.
+// group resolves the coefficient set for (mode, class): the mode's class
+// group, else its pooled "all" group. ModeAdaptive is never calibrated; it
+// borrows the coefficients of ModeHybrid, the policy it extends.
 func (m *Model) group(mode core.Mode, class string) *Group {
+	if mode == core.ModeAdaptive {
+		mode = core.ModeHybrid
+	}
 	cg := ClassGroup(class)
-	find := func(match func(*Group) bool, wantCG string) *Group {
-		for i := range m.Groups {
-			g := &m.Groups[i]
-			if match(g) && (wantCG == "" || g.ClassGroup == wantCG) {
-				return g
-			}
+	var all *Group
+	for i := range m.Groups {
+		g := &m.Groups[i]
+		if g.Mode != mode {
+			continue
 		}
-		return nil
-	}
-	exact := func(g *Group) bool { return g.Mode == mode }
-	family := func(g *Group) bool {
-		if mode == core.ModeNone {
-			return g.Mode == core.ModeNone
-		}
-		return g.Mode != core.ModeNone && g.Mode.UsesBuffer() == mode.UsesBuffer()
-	}
-	anyRA := func(g *Group) bool {
-		if mode == core.ModeNone {
-			return g.Mode == core.ModeNone
-		}
-		return g.Mode != core.ModeNone
-	}
-	for _, try := range []struct {
-		match func(*Group) bool
-		cg    string
-	}{
-		{exact, cg}, {exact, "all"}, {exact, ""},
-		{family, cg}, {family, "all"}, {family, ""},
-		{anyRA, cg}, {anyRA, "all"}, {anyRA, ""},
-	} {
-		if g := find(try.match, try.cg); g != nil {
+		if g.ClassGroup == cg {
 			return g
 		}
+		if g.ClassGroup == "all" {
+			all = g
+		}
 	}
-	return nil
+	return all
 }
 
 // Prediction is the twin's answer for one point: everything a harness
@@ -246,17 +211,20 @@ type Prediction struct {
 	MPKI        float64
 	MemStallPct float64
 	EnergyUJ    float64
-
-	// GroupMAPEPct is the fit residual of the coefficient group that made
-	// this prediction — the screening tier's uncertainty signal.
-	GroupMAPEPct float64
 }
 
-// Predict evaluates the model on one point.
+// Predict evaluates the model on one point. A point with no DRAM stall
+// cluster never enters runahead, so every mode predicts it with the
+// baseline's coefficients: its deltas against the baseline are exactly 0,
+// as they are in detailed simulation.
 func (m *Model) Predict(pt Point) (Prediction, error) {
-	g := m.group(pt.Mode, pt.Class)
+	mode := pt.Mode
+	if pt.X[FDRAM] == 0 {
+		mode = core.ModeNone
+	}
+	g := m.group(mode, pt.Class)
 	if g == nil {
-		return Prediction{}, fmt.Errorf("twin: no coefficient group for mode %s (calibrate first)", pt.Mode)
+		return Prediction{}, fmt.Errorf("twin: no coefficient group for mode %s (calibrate first)", mode)
 	}
 	terms := make([]float64, NumFeatures)
 	var cycles float64
@@ -278,7 +246,6 @@ func (m *Model) Predict(pt Point) (Prediction, error) {
 		p.Cycles = 1
 	}
 	p.IPC = float64(pt.Uops) / float64(p.Cycles)
-	p.GroupMAPEPct = g.MAPEPct
 	if pt.Uops > 0 {
 		p.MPKI = 1000 * float64(pt.DRAMLoads) / float64(pt.Uops)
 	}
@@ -298,8 +265,7 @@ func (m *Model) Predict(pt Point) (Prediction, error) {
 	shares[core.CPIFrontend] = clamp0(terms[FTaken])
 	shares[core.CPIBranchRecovery] = clamp0(terms[FMispred])
 	shares[core.CPILLCMiss] = clamp0(terms[FLLC])
-	shares[core.CPIDRAM] = clamp0(terms[FDRAM] + terms[FDRAMSerial] + terms[FDRAMWrite] + terms[FCov])
-	shares[core.CPIRunaheadOverhead] = clamp0(terms[FRAOver])
+	shares[core.CPIDRAM] = clamp0(terms[FDRAM] + terms[FDRAMSerial] + terms[FCov])
 	var sum float64
 	for _, s := range shares {
 		sum += s

@@ -8,7 +8,7 @@
 //
 //	cycles ≈ θ·[ ideal, taken-branches, mispredict-intervals, LLC-miss
 //	             intervals, DRAM-miss intervals (MLP-adjusted), serialized
-//	             DRAM chains, runahead coverage, runahead overhead, bias ]
+//	             DRAM chains, runahead coverage, bias ]
 //
 // Inputs come from one interpreter-speed profiling pass per workload (an
 // observer on prog.Interp.Run driving the shared functional cache model
@@ -19,13 +19,13 @@
 // derived from first principles: calibration absorbs everything the
 // first-order terms cannot see (issue contention, partial overlap,
 // prefetch-like wrong-path effects), and the residual it cannot absorb is
-// reported as per-workload/per-config MAPE and Pearson-r — the uncertainty
-// the screening tier promotes on.
+// reported as per-workload/per-config MAPE and Pearson-r. The per-workload
+// MAPE is the uncertainty the screening tier promotes on.
 //
 // Known limits, by construction: the profile is configuration-independent,
 // so configurations that change cache contents or miss counts (hardware
 // prefetchers, runahead-buffer size sweeps, DepTrack instrumentation) are
-// predicted with the nearest mode's coefficients and must be promoted to
+// predicted with their runahead mode's coefficients and must be promoted to
 // detailed simulation when their numbers matter.
 package twin
 

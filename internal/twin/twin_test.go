@@ -62,14 +62,14 @@ func synthPoints() []Point {
 	theta := make([]float64, NumFeatures)
 	theta[FIdeal], theta[FTaken], theta[FMispred] = 1.1, 0.5, 0.9
 	theta[FLLC], theta[FDRAM], theta[FDRAMSerial] = 0.3, 1.0, 0.8
-	theta[FCov], theta[FRAOver], theta[FBias] = -0.6, 12, 0.02
+	theta[FCov], theta[FBias] = -0.6, 0.02
 	etheta := make([]float64, NumEnergyFeatures)
 	etheta[EUops], etheta[ECycles], etheta[EDRAM] = 0.0002, 0.0001, 0.0004
 
 	var pts []Point
 	benches := []string{"w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7", "w8", "w9", "wa", "wb"}
 	for bi, bench := range benches {
-		for _, mode := range []core.Mode{core.ModeNone, core.ModeBuffer} {
+		for _, mode := range []core.Mode{core.ModeNone, core.ModeBuffer, core.ModeHybrid} {
 			x := make([]float64, NumFeatures)
 			uops := 100_000 + 1000*float64(bi)
 			x[FIdeal] = uops/4 + 500*float64(bi%5)
@@ -80,7 +80,6 @@ func synthPoints() []Point {
 			x[FDRAMSerial] = 4000 * float64(bi%3)
 			if mode != core.ModeNone {
 				x[FCov] = 0.7 * x[FDRAM]
-				x[FRAOver] = x[FDRAM] / 125
 			}
 			x[FBias] = uops / 1000
 			var y float64
@@ -138,21 +137,81 @@ func TestFitRecoversLinearModel(t *testing.T) {
 	}
 }
 
-// TestPredictModeFallback: a mode absent from calibration resolves to the
-// nearest calibrated mechanism instead of failing.
+// TestPredictModeFallback: ModeAdaptive, never calibrated, predicts with
+// ModeHybrid's coefficients; a class group too small for its own fit
+// resolves to the mode's pooled group; a mode with no group is an error.
 func TestPredictModeFallback(t *testing.T) {
+	pts := synthPoints()
+	m, err := Fit(pts, testMachine(), 1, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := pts[5] // w1 under ModeHybrid, with DRAM stall clusters
+	if pt.Mode != core.ModeHybrid || pt.X[FDRAM] == 0 {
+		t.Fatalf("precondition: want a hybrid point with DRAM clusters, got %s %v", pt.Mode, pt.X)
+	}
+	hybrid, err := m.Predict(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt.Mode = core.ModeAdaptive
+	if got, err := m.Predict(pt); err != nil || got != hybrid {
+		t.Fatalf("adaptive predicts %+v (err %v), want hybrid's %+v", got, err, hybrid)
+	}
+	pt.Mode = core.ModeTraditional
+	if _, err := m.Predict(pt); err == nil {
+		t.Fatal("a mode absent from calibration must not borrow another mode's coefficients")
+	}
+
+	// Three "low" benches are too few for their own group, so every mode
+	// pools into an "all" group that answers for both class groups.
+	for i := range pts[:9] {
+		pts[i].Class = "low"
+	}
+	m, err = Fit(pts, testMachine(), 1, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range m.Groups {
+		if g.ClassGroup != "all" {
+			t.Fatalf("group %s/%s: undersized class groups must pool", g.Mode, g.ClassGroup)
+		}
+	}
+	if _, err := m.Predict(pts[0]); err != nil {
+		t.Fatalf("a pooled class group should resolve to the mode's all group: %v", err)
+	}
+}
+
+// TestZeroClusterPointIsModeInvariant: a workload with no DRAM stall
+// cluster cannot enter runahead, so every mode predicts exactly what the
+// baseline predicts: the same cycles, IPC, CPI stack and energy.
+func TestZeroClusterPointIsModeInvariant(t *testing.T) {
 	m, err := Fit(synthPoints(), testMachine(), 1, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := synthPoints()[1] // ModeBuffer point
-	pt.Mode = core.ModeAdaptive
-	if _, err := m.Predict(pt); err != nil {
-		t.Fatalf("adaptive mode should fall back to a buffer-mode group: %v", err)
+	wp := &WorkloadProfile{
+		Bench:       "w1",
+		Mix:         Mix{Uops: 100_000, Loads: 30_000, Stores: 10_000, TakenBranches: 9_000},
+		Mispredicts: 400,
+		LLCHitLoads: 2_000,
+		CPFull:      26_000,
+		CPNoDRAM:    26_000,
 	}
-	pt.Class = "low" // unseen class group pools to "all"/exact-mode fallback
-	if _, err := m.Predict(pt); err != nil {
-		t.Fatalf("unseen class group should still resolve: %v", err)
+	var base Prediction
+	for _, mode := range []core.Mode{core.ModeNone, core.ModeTraditional, core.ModeBuffer,
+		core.ModeBufferCC, core.ModeHybrid, core.ModeAdaptive} {
+		got, err := m.Predict(PointFrom(wp, testMachine(), mode, "high"))
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if mode == core.ModeNone {
+			base = got
+			continue
+		}
+		if got != base {
+			t.Fatalf("%s predicts %+v, baseline %+v", mode, got, base)
+		}
 	}
 }
 

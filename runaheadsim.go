@@ -55,7 +55,9 @@ func Modes() []Mode {
 	return []Mode{ModeBaseline, ModeRunahead, ModeRunaheadBuffer, ModeRunaheadBufferCC, ModeHybrid, ModeAdaptiveHybrid}
 }
 
-func (m Mode) coreMode() (core.Mode, error) {
+// CoreMode resolves m to the simulator's runahead mode; the empty Mode is
+// the baseline.
+func (m Mode) CoreMode() (core.Mode, error) {
 	switch m {
 	case ModeBaseline, "":
 		return core.ModeNone, nil
@@ -191,7 +193,7 @@ func MediumHighBenchmarks() []string {
 // Run simulates one benchmark under one configuration and also runs the
 // matching no-prefetching baseline so the Result can report deltas.
 func Run(cfg Config) (Result, error) {
-	cm, err := cfg.Mode.coreMode()
+	cm, err := cfg.Mode.CoreMode()
 	if err != nil {
 		return Result{}, err
 	}
