@@ -54,7 +54,7 @@ sweep:
 
 # Paper-claim verdict table.
 report:
-	go run ./cmd/runahead-report
+	go run ./cmd/runahead-sweep -experiments report
 
 examples:
 	go run ./examples/quickstart

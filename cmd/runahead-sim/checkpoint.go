@@ -16,25 +16,21 @@ import (
 	"runaheadsim/internal/workload"
 )
 
-// buildConfig translates the CLI mode flags into a core configuration,
-// resolving the mode through the facade's table.
-func buildConfig(mode string, pf, enh bool, pfKind string) (core.Config, error) {
-	cfg := core.DefaultConfig()
+// coreConfig builds the core configuration for the CLI's mode flags through
+// the harness's RunConfig translation, with wdog as the -watchdog override.
+func coreConfig(mode string, pf, enh bool, pfKind string, wdog int64) (core.Config, error) {
 	m, err := runaheadsim.Mode(mode).CoreMode()
 	if err != nil {
-		return cfg, err
+		return core.Config{}, err
 	}
-	cfg.Mode = m
-	cfg.Enhancements = enh
-	cfg.Mem.EnablePrefetch = pf
-	cfg.Mem.PrefetchKind = pfKind
-	return cfg, nil
+	rc := harness.RunConfig{Mode: m, Enhancements: enh, Prefetch: pf, PFKind: pfKind}
+	return harness.Options{WatchdogCycles: wdog}.CoreConfig(rc), nil
 }
 
 // checkpointRun simulates warmup+uops micro-ops, drains, and writes the
 // snapshot. Returns a process exit code.
 func checkpointRun(bench, mode string, pf, enh bool, pfKind string, uops, warmup uint64, outFile string, check bool) int {
-	cfg, err := buildConfig(mode, pf, enh, pfKind)
+	cfg, err := coreConfig(mode, pf, enh, pfKind, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -83,7 +79,7 @@ func restoreRun(file, bench, mode string, pf, enh bool, pfKind string, uops uint
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	cfg, err := buildConfig(mode, pf, enh, pfKind)
+	cfg, err := coreConfig(mode, pf, enh, pfKind, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -215,14 +215,9 @@ func writeTimeline(tl *stats.Timeline, format, out string) error {
 
 // tracePipeline drops below the facade to attach a cycle-by-cycle tracer.
 func tracePipeline(bench, mode string, pf, enh bool, pfKind string, cycles int64, format, out string, check bool, wdog int64, fdump string) (err error) {
-	cfg, err := buildConfig(mode, pf, enh, pfKind)
+	cfg, err := coreConfig(mode, pf, enh, pfKind, wdog)
 	if err != nil {
 		return err
-	}
-	if wdog > 0 {
-		cfg.WatchdogCycles = wdog
-	} else if wdog < 0 {
-		cfg.WatchdogCycles = 0
 	}
 	p, err := workload.Load(bench)
 	if err != nil {

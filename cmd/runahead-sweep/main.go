@@ -6,10 +6,17 @@
 // checkpointed sampled intervals (see DESIGN.md, "Checkpointing and sampled
 // simulation").
 //
+// The "report" experiment checks every headline claim of the paper against
+// this reproduction: paper value, measured value, and whether the shape
+// (sign, rough magnitude, ordering) reproduces. The "sampling" experiment
+// lists the 95% confidence intervals of phase-sampled runs.
+//
 // Examples:
 //
 //	runahead-sweep                      # everything, default budget
 //	runahead-sweep -experiments figure9,figure17
+//	runahead-sweep -experiments report,cpi-stack
+//	runahead-sweep -experiments report,sampling -sample -sample-mode phase
 //	runahead-sweep -uops 300000 -out results.txt
 //	runahead-sweep -sample -j 8         # sampled intervals, 8 workers
 //	runahead-sweep -cores 4             # 4-core multi-programmed mix
@@ -25,6 +32,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 
 	"runaheadsim/internal/harness"
 	"runaheadsim/internal/telemetry"
@@ -108,7 +116,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		opts.Monitor = tracker
 	}
 	if !*quiet {
+		// Prewarm workers report concurrently, and stderr need not be safe
+		// for concurrent writes.
+		var mu sync.Mutex
 		opts.Progress = func(bench, config string) {
+			mu.Lock()
+			defer mu.Unlock()
 			fmt.Fprintf(stderr, "running %-12s %s\n", bench, config)
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"runaheadsim/internal/harness"
 )
 
 // TestParallelSweepByteIdentical is the -j acceptance check: the same sweep
@@ -184,5 +186,27 @@ func TestEmptyGeomeanRendersDash(t *testing.T) {
 		if cell != "-" {
 			t.Fatalf("GMean(M+H) cell %q, want \"-\":\n%s", cell, out.String())
 		}
+	}
+}
+
+// TestReportExperimentJSON drives the claim report through the sweep's -json
+// path: the output decodes as the table array and the verdict table has one
+// row per claim.
+func TestReportExperimentJSON(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{"-experiments", "report", "-benchmarks", "mcf,libquantum",
+		"-uops", "2000", "-warmup", "2000", "-json"}
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("report sweep exited %d: %s", code, errb.String())
+	}
+	var tables []harness.Table
+	if err := json.Unmarshal(out.Bytes(), &tables); err != nil {
+		t.Fatalf("-json output does not decode as []harness.Table: %v\n%s", err, out.String())
+	}
+	if len(tables) != 1 || tables[0].ID != "report" {
+		t.Fatalf("want exactly the report table, got %d tables", len(tables))
+	}
+	if got := len(tables[0].Rows); got != 17 {
+		t.Fatalf("report table has %d claim rows, want 17", got)
 	}
 }

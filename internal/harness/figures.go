@@ -410,7 +410,8 @@ type Experiment struct {
 	Build func(*Runner) Table
 }
 
-// Experiments lists every table and figure in paper order.
+// Experiments lists every table and figure in paper order, then the claim
+// verdicts and the phase-sampling confidence intervals.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"table1", Table1},
@@ -435,5 +436,7 @@ func Experiments() []Experiment {
 		{"ext-prefetchers", ExtPrefetchers},
 		{"ext-adaptive", ExtAdaptive},
 		{"cpi-stack", CPIStack},
+		{"report", Report},
+		{"sampling", SamplingTable},
 	}
 }

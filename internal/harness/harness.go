@@ -346,11 +346,12 @@ func placeholderResult(bench string, rc RunConfig) *Result {
 	return &Result{Bench: bench, Config: rc, Stats: core.NewPlaceholderStats(), IPC: 1}
 }
 
-// cfgFor translates a RunConfig into a full core configuration with the
-// runner's overrides applied.
-func (r *Runner) cfgFor(rc RunConfig) core.Config {
+// CoreConfig translates a RunConfig into a full core configuration with the
+// options' watchdog override applied. Every detailed run builds its core
+// from it.
+func (o Options) CoreConfig(rc RunConfig) core.Config {
 	cfg := configFor(rc)
-	if wd := r.opts.WatchdogCycles; wd > 0 {
+	if wd := o.WatchdogCycles; wd > 0 {
 		cfg.WatchdogCycles = wd
 	} else if wd < 0 {
 		cfg.WatchdogCycles = 0

@@ -80,13 +80,13 @@ func TestExperimentsListComplete(t *testing.T) {
 	for _, want := range []string{"table1", "table2", "figure1", "figure2", "figure3", "figure4",
 		"figure5", "figure9", "figure10", "figure11", "figure12", "figure13", "figure14",
 		"figure15", "figure16", "figure17", "figure18", "sens-buffer", "sens-chaincache",
-		"cpi-stack"} {
+		"cpi-stack", "report", "sampling"} {
 		if !ids[want] {
 			t.Errorf("experiment %s missing", want)
 		}
 	}
-	if len(ids) != 22 {
-		t.Fatalf("expected 22 experiments, have %d", len(ids))
+	if len(ids) != 24 {
+		t.Fatalf("expected 24 experiments, have %d", len(ids))
 	}
 }
 
@@ -278,26 +278,6 @@ func TestRunnerTimelineOption(t *testing.T) {
 	r2 := quick()
 	if r2.Result("mcf", Baseline).Timeline != nil {
 		t.Fatal("timeline must be nil when the option is off")
-	}
-}
-
-func TestTableWriteJSON(t *testing.T) {
-	tb := Table{ID: "x", Title: "demo", Columns: []string{"A", "B"}, Notes: []string{"n"}}
-	tb.AddRow("1", "2")
-	var sb strings.Builder
-	if err := tb.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		ID      string     `json:"id"`
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.ID != "x" || len(doc.Rows) != 1 || doc.Rows[0][1] != "2" {
-		t.Fatalf("JSON export lost data: %+v", doc)
 	}
 }
 

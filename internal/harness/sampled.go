@@ -332,7 +332,7 @@ type intervalResult struct {
 // simcheck violation, a fast-forward fault — fails the whole run, reported
 // under the lowest failing interval id.
 func (r *Runner) runDetailed(bench string, rc RunConfig, spec workload.Spec) (*Result, error) {
-	cfg := r.cfgFor(rc)
+	cfg := r.opts.CoreConfig(rc)
 	p := workload.MustLoad(bench)
 
 	full := r.opts.Warmup(spec.Class)

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -56,18 +55,6 @@ func (t *Table) Render(w io.Writer) {
 		fmt.Fprintf(w, "note: %s\n", n)
 	}
 	fmt.Fprintln(w)
-}
-
-// WriteJSON renders the table as one machine-readable JSON object with the
-// same cells the text renderer prints.
-func (t *Table) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(struct {
-		ID      string     `json:"id"`
-		Title   string     `json:"title"`
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-		Notes   []string   `json:"notes,omitempty"`
-	}{t.ID, t.Title, t.Columns, t.Rows, t.Notes})
 }
 
 // f1 formats a float with one decimal.

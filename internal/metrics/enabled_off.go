@@ -6,6 +6,3 @@ package metrics
 // branches that the compiler deletes; registries still exist (and export
 // nothing changing) so telemetry endpoints keep serving.
 const Enabled = false
-
-// wallNanos pins the Rate clock to zero when the layer is compiled out.
-func wallNanos() int64 { return 0 }

@@ -2,19 +2,9 @@
 
 package metrics
 
-import "time"
-
 // Enabled reports whether the metrics layer is compiled in. It is a build
 // constant: with the nometrics tag every instrument method reduces to a
 // constant-false branch the compiler removes, so the layer can be compiled
 // out entirely — the same escape hatch the simcheck tag provides in the
 // other direction.
 const Enabled = true
-
-// wallNanos is the default Rate clock. Wall time never reaches simulation
-// code: Rate instruments live on the telemetry side of the flush boundary,
-// and simulated results are independent of anything they report.
-func wallNanos() int64 {
-	//simlint:allow determinism -- telemetry rate windows measure wall time by design; simulated state never reads it
-	return time.Now().UnixNano()
-}

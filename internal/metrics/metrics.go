@@ -1,7 +1,6 @@
 // Package metrics is the simulator's runtime self-profiling substrate: a
-// low-overhead registry of named counters, gauges, histograms, and windowed
-// rates that the telemetry HTTP server exports in Prometheus text and JSON
-// form.
+// low-overhead registry of named counters, gauges, and histograms that the
+// telemetry HTTP server exports in Prometheus text and JSON form.
 //
 // The package is a leaf (standard library only), so every simulator
 // component can publish counters without import cycles — the same property
@@ -32,7 +31,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -146,73 +144,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Rate is a windowed event rate: Mark(n) feeds it timestamped event counts
-// and Per(sec) reports the rate over the sliding window. The clock is
-// injected at registration (wall time for live telemetry, a fake in tests),
-// keeping the determinism rule — simulation code never reads wall time —
-// intact: Rate lives on the telemetry side of the flush boundary. Obtain
-// instances from Registry.Rate.
-type Rate struct {
-	mu     sync.Mutex
-	now    func() int64 // nanoseconds
-	window int64        // nanoseconds
-	slots  []rateSlot   // ring, one slot per second of window
-	total  uint64       // lifetime count
-}
-
-type rateSlot struct {
-	start int64 // slot epoch (ns)
-	used  bool
-	n     uint64
-}
-
-const rateSlotNS = int64(1e9)
-
-// Mark records n events now.
-func (r *Rate) Mark(n uint64) {
-	if !Enabled || r == nil {
-		return
-	}
-	now := r.now()
-	r.mu.Lock()
-	r.total += n
-	i := (now / rateSlotNS) % int64(len(r.slots))
-	start := now - now%rateSlotNS
-	if !r.slots[i].used || r.slots[i].start != start {
-		r.slots[i] = rateSlot{start: start, used: true}
-	}
-	r.slots[i].n += n
-	r.mu.Unlock()
-}
-
-// PerSecond returns the event rate over the window, counting only slots
-// still inside it.
-func (r *Rate) PerSecond() float64 {
-	if !Enabled || r == nil {
-		return 0
-	}
-	now := r.now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var n uint64
-	for _, s := range r.slots {
-		if s.used && now-s.start < r.window {
-			n += s.n
-		}
-	}
-	return float64(n) / (float64(r.window) / 1e9)
-}
-
-// Total returns the lifetime event count.
-func (r *Rate) Total() uint64 {
-	if !Enabled || r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 // kind tags a registered instrument for the exporters.
 type kind uint8
 
@@ -220,7 +151,6 @@ const (
 	kindCounter kind = iota
 	kindGauge
 	kindHistogram
-	kindRate
 )
 
 func (k kind) String() string {
@@ -229,10 +159,8 @@ func (k kind) String() string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
-	case kindHistogram:
-		return "histogram"
 	default:
-		return "rate"
+		return "histogram"
 	}
 }
 
@@ -245,7 +173,6 @@ type instrument struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	rate    *Rate
 }
 
 // Registry holds named instruments and renders them. Registration is
@@ -254,27 +181,18 @@ type instrument struct {
 // share one instrument. Exported output is sorted by name, so it is stable
 // across runs and registration orders.
 type Registry struct {
-	mu   sync.RWMutex
-	by   map[string]*instrument
-	nowf func() int64
+	mu sync.RWMutex
+	by map[string]*instrument
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{by: make(map[string]*instrument), nowf: wallNanos}
+	return &Registry{by: make(map[string]*instrument)}
 }
 
 // Default is the process-wide registry the telemetry server exports. Package
 // init-time instrument registration goes here.
 var Default = NewRegistry()
-
-// SetClock overrides the nanosecond clock used by Rate instruments
-// registered after the call (tests). The default is wall time.
-func (r *Registry) SetClock(now func() int64) {
-	r.mu.Lock()
-	r.nowf = now
-	r.mu.Unlock()
-}
 
 func (r *Registry) get(name, help string, k kind) *instrument {
 	r.mu.Lock()
@@ -293,8 +211,6 @@ func (r *Registry) get(name, help string, k kind) *instrument {
 		in.gauge = &Gauge{}
 	case kindHistogram:
 		in.hist = &Histogram{buckets: make([]atomic.Uint64, histBuckets)}
-	case kindRate:
-		in.rate = &Rate{now: r.nowf, window: rateWindowSlots * rateSlotNS, slots: make([]rateSlot, rateWindowSlots)}
 	}
 	r.by[name] = in
 	return in
@@ -303,9 +219,6 @@ func (r *Registry) get(name, help string, k kind) *instrument {
 // histBuckets covers v <= 2^0 .. 2^30 plus overflow — warp jumps, queue
 // depths, and fan-outs all fit with room to spare.
 const histBuckets = 32
-
-// rateWindowSlots is the sliding-rate window in seconds.
-const rateWindowSlots = 10
 
 // Counter returns (registering if needed) the named counter.
 func (r *Registry) Counter(name, help string) *Counter {
@@ -322,11 +235,6 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	return r.get(name, help, kindHistogram).hist
 }
 
-// Rate returns (registering if needed) the named windowed rate.
-func (r *Registry) Rate(name, help string) *Rate {
-	return r.get(name, help, kindRate).rate
-}
-
 // sorted returns the instruments in name order.
 func (r *Registry) sorted() []*instrument {
 	r.mu.RLock()
@@ -341,8 +249,7 @@ func (r *Registry) sorted() []*instrument {
 }
 
 // WritePrometheus renders every instrument in the Prometheus text exposition
-// format (version 0.0.4), sorted by name. Rates export their lifetime total
-// as a counter plus a `<name>:persec` gauge.
+// format (version 0.0.4), sorted by name.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, in := range r.sorted() {
 		if in.help != "" {
@@ -358,9 +265,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", in.name, in.name, in.gauge.Value())
 		case kindHistogram:
 			err = writePromHistogram(w, in.name, in.hist)
-		case kindRate:
-			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n# TYPE %s:persec gauge\n%s:persec %g\n",
-				in.name, in.name, in.rate.Total(), in.name, in.name, in.rate.PerSecond())
 		}
 		if err != nil {
 			return err
@@ -404,10 +308,6 @@ type JSONMetric struct {
 	Sum     int64             `json:"sum,omitempty"`
 	Mean    float64           `json:"mean,omitempty"`
 	Buckets map[string]uint64 `json:"buckets,omitempty"` // le -> cumulative count
-
-	// Rate fields.
-	Total     uint64  `json:"total,omitempty"`
-	PerSecond float64 `json:"perSecond,omitempty"`
 }
 
 // Export returns the instruments as JSON-ready values, sorted by name.
@@ -440,12 +340,6 @@ func (r *Registry) Export() []JSONMetric {
 					le = fmt.Sprintf("%d", uint64(1)<<i)
 				}
 				m.Buckets[le] = cum
-			}
-		case kindRate:
-			m.Total = in.rate.Total()
-			m.PerSecond = in.rate.PerSecond()
-			if math.IsNaN(m.PerSecond) || math.IsInf(m.PerSecond, 0) {
-				m.PerSecond = 0
 			}
 		}
 		out = append(out, m)

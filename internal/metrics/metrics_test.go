@@ -71,30 +71,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestRateWindow(t *testing.T) {
-	r := NewRegistry()
-	var fake int64
-	r.SetClock(func() int64 { return fake })
-	rate := r.Rate("sim_test_uops", "uops")
-	rate.Mark(100)
-	fake += 1e9
-	rate.Mark(300)
-	if got := rate.Total(); got != 400 {
-		t.Fatalf("total = %d, want 400", got)
-	}
-	if got := rate.PerSecond(); got != 40 { // 400 over a 10s window
-		t.Fatalf("rate = %g, want 40", got)
-	}
-	// Advance past the window: old slots age out.
-	fake += 11e9
-	if got := rate.PerSecond(); got != 0 {
-		t.Fatalf("rate after window = %g, want 0", got)
-	}
-	if got := rate.Total(); got != 400 {
-		t.Fatalf("total must be lifetime, got %d", got)
-	}
-}
-
 // TestConcurrentAccess exercises the registry and instruments from many
 // goroutines; `go test -race` proves the hot paths are data-race free.
 func TestConcurrentAccess(t *testing.T) {
@@ -107,12 +83,10 @@ func TestConcurrentAccess(t *testing.T) {
 			c := r.Counter("sim_conc_total", "shared counter")
 			g := r.Gauge("sim_conc_gauge", "shared gauge")
 			h := r.Histogram("sim_conc_hist", "shared histogram")
-			ra := r.Rate("sim_conc_rate", "shared rate")
 			for j := 0; j < 1000; j++ {
 				c.Inc()
 				g.Add(1)
 				h.Observe(int64(j))
-				ra.Mark(1)
 				if j%100 == 0 {
 					var buf bytes.Buffer
 					if err := r.WritePrometheus(&buf); err != nil {
@@ -128,9 +102,6 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	if got := r.Histogram("sim_conc_hist", "").Count(); got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
-	}
-	if got := r.Rate("sim_conc_rate", "").Total(); got != 8000 {
-		t.Fatalf("rate total = %d, want 8000", got)
 	}
 }
 
@@ -186,15 +157,13 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 		c *Counter
 		g *Gauge
 		h *Histogram
-		r *Rate
 	)
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
 	g.Add(1)
 	h.Observe(5)
-	r.Mark(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || r.Total() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 }

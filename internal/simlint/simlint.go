@@ -10,10 +10,10 @@
 //     which break run-to-run reproducibility or bit-exactness.
 //   - statshygiene: statistics objects (stats.Histogram, stats.Set,
 //     stats.Timeline) and telemetry instruments (metrics.Counter,
-//     metrics.Gauge, metrics.Histogram, metrics.Rate) must be created
-//     through their registering constructors, never bare struct literals or
-//     new() — constructors validate geometry and establish the registry the
-//     stable stats dump and the /metrics exporters rely on.
+//     metrics.Gauge, metrics.Histogram) must be created through their
+//     registering constructors, never bare struct literals or new() —
+//     constructors validate geometry and establish the registry the stable
+//     stats dump and the /metrics exporters rely on.
 //   - tracehygiene: every trace-event emission site must sit behind the
 //     nil-tracer guard established by the observability layer, so disabled
 //     tracing costs nothing on the hot path.

@@ -42,7 +42,6 @@ var constructorOnly = map[string]map[string]string{
 		"Counter":   "Registry.Counter",
 		"Gauge":     "Registry.Gauge",
 		"Histogram": "Registry.Histogram",
-		"Rate":      "Registry.Rate",
 	},
 }
 

@@ -22,9 +22,9 @@ import (
 // keeps a group's coefficients at the pooled values except where its own
 // points carry real evidence.
 //
-// On top of the coefficients sit per-workload anchors ([BenchScale]): fit,
-// anchor each workload at the geomean detailed/predicted ratio, refit
-// against the anchor-corrected targets, re-anchor. The anchors absorb
+// On top of the coefficients sit per-workload anchors ([BenchScale]): after
+// the fit, each workload is anchored once at its geomean
+// detailed/predicted ratio. The anchors absorb
 // workload-level costs the features cannot see (e.g. bandwidth contention
 // of a dense store stream); because one anchor is shared by all of a
 // workload's modes, cross-config deltas — what screening ranks on — remain
@@ -142,97 +142,67 @@ func Fit(points []Point, machine Machine, fingerprint uint64, measureUops uint64
 		}
 	}
 
-	// Targets are divided by the current per-workload anchors, so each fit
-	// pass explains only what the anchors don't.
-	scaleOf := func(string) (float64, float64) { return 1, 1 }
-	cycTarget := func(pt Point) float64 {
-		s, _ := scaleOf(pt.Bench)
-		return pt.DetCycles / s
-	}
-	enTarget := func(pt Point) float64 {
-		_, s := scaleOf(pt.Bench)
-		return pt.DetEnergyUJ / s
-	}
-
-	fitGroups := func() error {
-		m.Groups = m.Groups[:0]
-		// Stage one: pooled per-mode coefficients over every point of the
-		// mode.
-		var pooledModes []core.Mode
-		var pooledTheta, pooledETheta [][]float64
-		pooledFor := func(mode core.Mode) ([]float64, []float64, error) {
-			for i, have := range pooledModes {
-				if have == mode {
-					return pooledTheta[i], pooledETheta[i], nil
-				}
+	// Stage one: pooled per-mode coefficients over every point of the mode.
+	var pooledModes []core.Mode
+	var pooledTheta, pooledETheta [][]float64
+	pooledFor := func(mode core.Mode) ([]float64, []float64, error) {
+		for i, have := range pooledModes {
+			if have == mode {
+				return pooledTheta[i], pooledETheta[i], nil
 			}
-			var pts []Point
-			for _, pt := range points {
-				if pt.Mode == mode {
-					pts = append(pts, pt)
-				}
-			}
-			theta, err := wlsFit(pts, cycleRow, NumFeatures, cycTarget, nil, pooledLambda)
-			if err != nil {
-				return nil, nil, fmt.Errorf("twin: fitting mode %s: %w", mode, err)
-			}
-			etheta, err := wlsFit(pts, energyRow, NumEnergyFeatures, enTarget, nil, pooledLambda)
-			if err != nil {
-				return nil, nil, fmt.Errorf("twin: fitting energy for mode %s: %w", mode, err)
-			}
-			pooledModes = append(pooledModes, mode)
-			pooledTheta = append(pooledTheta, theta)
-			pooledETheta = append(pooledETheta, etheta)
-			return theta, etheta, nil
 		}
-
-		// Stage two: each class group refits shrunk toward its mode's pooled
-		// coefficients; "all" groups just take the pooled set.
-		for j, k := range pooledKeys {
-			pts := pooled[j]
-			prior, ePrior, err := pooledFor(k.mode)
-			if err != nil {
-				return err
+		var pts []Point
+		for _, pt := range points {
+			if pt.Mode == mode {
+				pts = append(pts, pt)
 			}
-			theta, etheta := prior, ePrior
-			if k.cg != "all" {
-				theta, err = wlsFit(pts, cycleRow, NumFeatures, cycTarget, prior, groupLambda)
-				if err != nil {
-					return fmt.Errorf("twin: fitting mode %s/%s: %w", k.mode, k.cg, err)
-				}
-				etheta, err = wlsFit(pts, energyRow, NumEnergyFeatures, enTarget, ePrior, groupLambda)
-				if err != nil {
-					return fmt.Errorf("twin: fitting energy for mode %s/%s: %w", k.mode, k.cg, err)
-				}
-			}
-			m.Groups = append(m.Groups, Group{
-				Mode:        k.mode,
-				ClassGroup:  k.cg,
-				Theta:       theta,
-				EnergyTheta: etheta,
-				Points:      len(pts),
-			})
 		}
-		return nil
+		theta, err := wlsFit(pts, cycleRow, NumFeatures, cycleTarget, nil, pooledLambda)
+		if err != nil {
+			return nil, nil, fmt.Errorf("twin: fitting mode %s: %w", mode, err)
+		}
+		etheta, err := wlsFit(pts, energyRow, NumEnergyFeatures, energyTarget, nil, pooledLambda)
+		if err != nil {
+			return nil, nil, fmt.Errorf("twin: fitting energy for mode %s: %w", mode, err)
+		}
+		pooledModes = append(pooledModes, mode)
+		pooledTheta = append(pooledTheta, theta)
+		pooledETheta = append(pooledETheta, etheta)
+		return theta, etheta, nil
 	}
 
-	// Alternate: fit coefficients, anchor each workload, refit against the
-	// anchor-corrected targets (so the coefficients model cross-config
-	// structure, not workload-level offsets), then re-anchor against the
-	// final coefficients.
-	if err := fitGroups(); err != nil {
-		return nil, err
+	// Stage two: each class group refits shrunk toward its mode's pooled
+	// coefficients; "all" groups just take the pooled set.
+	for j, k := range pooledKeys {
+		pts := pooled[j]
+		prior, ePrior, err := pooledFor(k.mode)
+		if err != nil {
+			return nil, err
+		}
+		theta, etheta := prior, ePrior
+		if k.cg != "all" {
+			theta, err = wlsFit(pts, cycleRow, NumFeatures, cycleTarget, prior, groupLambda)
+			if err != nil {
+				return nil, fmt.Errorf("twin: fitting mode %s/%s: %w", k.mode, k.cg, err)
+			}
+			etheta, err = wlsFit(pts, energyRow, NumEnergyFeatures, energyTarget, ePrior, groupLambda)
+			if err != nil {
+				return nil, fmt.Errorf("twin: fitting energy for mode %s/%s: %w", k.mode, k.cg, err)
+			}
+		}
+		m.Groups = append(m.Groups, Group{
+			Mode:        k.mode,
+			ClassGroup:  k.cg,
+			Theta:       theta,
+			EnergyTheta: etheta,
+			Points:      len(pts),
+		})
 	}
+
+	// One anchor pass: each workload's multiplicative anchor absorbs the
+	// workload-level offset the coefficients leave.
 	scales, err := m.computeScales(points)
 	if err != nil {
-		return nil, err
-	}
-	m.Scales = scales
-	scaleOf = m.scaleFor
-	if err := fitGroups(); err != nil {
-		return nil, err
-	}
-	if scales, err = m.computeScales(points); err != nil {
 		return nil, err
 	}
 	m.Scales = scales
@@ -246,14 +216,10 @@ func Fit(points []Point, machine Machine, fingerprint uint64, measureUops uint64
 }
 
 // computeScales measures each workload's multiplicative anchor: the
-// geometric mean of detailed over raw-predicted cycles (and energy) across
-// the workload's calibration points, evaluated with the model's current
-// anchors disabled so the result is always relative to the bare coefficients.
+// geometric mean of detailed over predicted cycles (and energy) across the
+// workload's calibration points. Fit calls it before m.Scales is set, so
+// the anchors are relative to the bare coefficients.
 func (m *Model) computeScales(points []Point) ([]BenchScale, error) {
-	saved := m.Scales
-	m.Scales = nil
-	defer func() { m.Scales = saved }()
-
 	var names []string
 	type acc struct {
 		cyc, en float64
@@ -302,6 +268,10 @@ func (m *Model) computeScales(points []Point) ([]BenchScale, error) {
 }
 
 func cycleRow(pt Point) []float64 { return pt.X }
+
+func cycleTarget(pt Point) float64 { return pt.DetCycles }
+
+func energyTarget(pt Point) float64 { return pt.DetEnergyUJ }
 
 func energyRow(pt Point) []float64 {
 	ex := make([]float64, NumEnergyFeatures)

@@ -255,7 +255,8 @@ func Run(cfg Config) (Result, error) {
 	return out, nil
 }
 
-// ExperimentIDs lists every regenerable paper artifact, in paper order.
+// ExperimentIDs lists every regenerable paper artifact, in paper order,
+// then the claim report and the sampling confidence intervals.
 func ExperimentIDs() []string {
 	var out []string
 	for _, e := range harness.Experiments() {
@@ -264,8 +265,8 @@ func ExperimentIDs() []string {
 	return out
 }
 
-// RunExperiment regenerates one table or figure ("table1", "figure9", ...)
-// and returns it rendered as text. measureUops of 0 selects the default
+// RunExperiment regenerates one table or figure ("table1", "figure9",
+// "report", ...) and returns it rendered as text. measureUops of 0 selects the default
 // budget. Runs are not shared across calls; use cmd/runahead-sweep for a
 // full shared-cache sweep.
 func RunExperiment(id string, measureUops uint64) (string, error) {

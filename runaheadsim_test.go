@@ -60,7 +60,7 @@ func TestBenchmarkLists(t *testing.T) {
 
 func TestExperimentIDs(t *testing.T) {
 	ids := ExperimentIDs()
-	if len(ids) != 22 {
+	if len(ids) != 24 {
 		t.Fatalf("have %d experiments", len(ids))
 	}
 	if _, err := RunExperiment("figure99", 1000); err == nil {
