@@ -587,6 +587,7 @@ func (c *Core) robIndexOf(d *DynInst) int {
 // squashAfter removes every instruction younger than d from the machine,
 // unwinding the RAT through the saved previous mappings.
 func (c *Core) squashAfter(d *DynInst) {
+	c.sched.noteSquash(d.Seq)
 	for c.rob.size() > 0 {
 		t := c.rob.at(c.rob.size() - 1)
 		if t == d {

@@ -179,12 +179,7 @@ type sbEntry struct {
 // New builds a core running program p. The program's initial memory image is
 // cloned, so multiple cores can run the same program.
 func New(cfg Config, p *prog.Program) *Core {
-	// The per-cycle reference kernel keeps the seed's per-cycle DRAM grant
-	// scan, so the equivalence suite compares two independently computed
-	// readiness schedules (horizon vs. exhaustive scan), not one fast path
-	// against itself.
-	cfg.Mem.DRAM.Reference = cfg.ClockMode == ClockTick
-	return NewShared(cfg, p, memsys.New(cfg.Mem), 0)
+	return newCore(cfg, p, p.NewMemory(), nil, 0)
 }
 
 // NewShared builds a core running program p as requestor req of hierarchy h.
@@ -193,6 +188,20 @@ func New(cfg Config, p *prog.Program) *Core {
 // DRAM reference-mode choices the caller wants). The program's initial
 // memory image is cloned, so multiple cores can run the same program.
 func NewShared(cfg Config, p *prog.Program, h *memsys.Hierarchy, req int) *Core {
+	return newCore(cfg, p, p.NewMemory(), h, req)
+}
+
+// newCore builds a core whose committed memory image is mem. A nil h gives
+// the core a hierarchy of its own, built from cfg.Mem.
+func newCore(cfg Config, p *prog.Program, mem *prog.Memory, h *memsys.Hierarchy, req int) *Core {
+	if h == nil {
+		// The per-cycle reference kernel keeps the seed's per-cycle DRAM
+		// grant scan, so the equivalence suite compares two independently
+		// computed readiness schedules (horizon vs. exhaustive scan), not
+		// one fast path against itself.
+		cfg.Mem.DRAM.Reference = cfg.ClockMode == ClockTick
+		h = memsys.New(cfg.Mem)
+	}
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
@@ -202,7 +211,7 @@ func NewShared(cfg Config, p *prog.Program, h *memsys.Hierarchy, req int) *Core 
 	c := &Core{
 		cfg:     cfg,
 		p:       p,
-		mem:     p.NewMemory(),
+		mem:     mem,
 		h:       h,
 		memReq:  req,
 		bp:      bpred.New(cfg.BPred),

@@ -105,8 +105,7 @@ func (c *Core) FetchPC() uint64 { return c.fetchPC }
 // interval's detailed warmup then re-warms the microarchitectural state.
 // Ownership of st.Mem transfers to the core.
 func NewFromArch(cfg Config, p *prog.Program, st prog.ArchState) *Core {
-	c := New(cfg, p)
-	c.mem = st.Mem
+	c := newCore(cfg, p, st.Mem, nil, 0)
 	c.archVal = st.Regs
 	for i := 0; i < isa.NumArchRegs; i++ {
 		c.prf.val[i] = st.Regs[i]

@@ -122,10 +122,10 @@ func (c *Core) checkSched() error {
 		}
 		return nil
 	}
-	if len(s.deferred) != 0 {
-		return fmt.Errorf("scheduler deferred list holds %d entries between cycles", len(s.deferred))
+	if len(s.deferred) != 0 || len(s.dozing) != 0 {
+		return fmt.Errorf("scheduler scratch lists hold %d deferred and %d dozing entries between cycles", len(s.deferred), len(s.dozing))
 	}
-	inReady := make(map[*DynInst]bool, len(s.readyQ)+len(s.parked))
+	inReady := make(map[*DynInst]bool, len(s.readyQ)+len(s.parked)+len(s.sleep))
 	for _, r := range s.readyQ {
 		if r.stale() {
 			continue // recycled slot or dead uop; dropped lazily at pop
@@ -150,6 +150,21 @@ func (c *Core) checkSched() error {
 		}
 		inReady[r.d] = true
 	}
+	// Sleepers are ready loads set aside until an older unknown-address
+	// store resolves; they count as queued, and wakeSleepers' prefix scan
+	// needs them seq-sorted.
+	for i, r := range s.sleep {
+		if i > 0 && s.sleep[i-1].seq >= r.seq {
+			return fmt.Errorf("sleep list out of order at %d: seq %d after %d", i, r.seq, s.sleep[i-1].seq)
+		}
+		if r.stale() {
+			continue
+		}
+		if !r.d.U.Op.IsLoad() || r.d.pendingSrcs != 0 {
+			return fmt.Errorf("seq %d (%v) sleeps with %d pending sources; only ready loads sleep", r.seq, r.d.U.Op, r.d.pendingSrcs)
+		}
+		inReady[r.d] = true
+	}
 	inUnknown := make(map[*DynInst]bool, len(s.unknownStores))
 	for _, r := range s.unknownStores {
 		if r.d.gen == r.gen {
@@ -170,10 +185,17 @@ func (c *Core) checkSched() error {
 		}
 	}
 	robStores := 0
+	// blocker is the oldest in-window store with no address — what every
+	// sleeper waits on. Runahead loads ignore unknown addresses, so there
+	// nothing blocks and the sleep list must hold no live load.
+	blocker := ^uint64(0)
 	for i := 0; i < c.rob.size(); i++ {
 		d := c.rob.at(i)
 		if d.Squashed {
 			continue
+		}
+		if !c.ra.active && d.U.Op.IsStore() && !d.EAValid && !d.Poisoned && d.Seq < blocker {
+			blocker = d.Seq
 		}
 		if d.Renamed && !d.Issued && !d.Executed && c.srcReady(d.PSrc1) && c.srcReady(d.PSrc2) && !inReady[d] {
 			return fmt.Errorf("lost wakeup: seq %d (%v) has ready sources but is not in the ready queue", d.Seq, d.U.Op)
@@ -188,6 +210,11 @@ func (c *Core) checkSched() error {
 	}
 	if robStores != idxStores {
 		return fmt.Errorf("store index holds %d entries, but the ROB holds %d addressed stores", idxStores, robStores)
+	}
+	for _, r := range s.sleep {
+		if !r.stale() && r.seq <= blocker {
+			return fmt.Errorf("seq %d sleeps, but the oldest store with an unknown address (%d; -1 if none) is not older", r.seq, int64(blocker))
+		}
 	}
 	for p := range s.waiters {
 		for _, w := range s.waiters[p] {

@@ -89,3 +89,29 @@ func TestInvariantsCatchQueueMiscount(t *testing.T) {
 		t.Fatalf("load-queue miscount not caught: %v", err)
 	}
 }
+
+func TestInvariantsCatchSleepListCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(c *Core)
+	}{
+		{"out of order", "sleep list out of order", func(c *Core) {
+			s := c.sched.sleep
+			s[0], s[1] = s[1], s[0]
+		}},
+		{"pending source", "pending sources", func(c *Core) { c.sched.sleep[0].d.pendingSrcs = 1 }},
+		// In runahead nothing blocks a load, so no live load may sleep.
+		{"nothing to wait for", "is not older", func(c *Core) { c.ra.active = true }},
+	} {
+		c := New(testConfig(ModeNone), sleepKernel(false))
+		runUntil(t, c, func() bool { return len(c.sched.sleep) >= 2 })
+		if err := c.CheckInvariants(true); err != nil {
+			t.Fatalf("%s: pre-corruption: %v", tc.name, err)
+		}
+		tc.corrupt(c)
+		err := c.CheckInvariants(true)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: sleep-list corruption not caught: %v", tc.name, err)
+		}
+	}
+}

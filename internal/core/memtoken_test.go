@@ -6,11 +6,13 @@ import (
 	"runaheadsim/internal/isa"
 )
 
-// The tests here drive execLoad and the hierarchy by hand on a core whose
+// Most tests here drive execLoad and the hierarchy by hand on a core whose
 // pipeline never runs: each builds its loads directly, issues them, and
 // ticks the memory system until they complete. That isolates the L1D miss
 // path — the token a load travels as, its early-miss notice and its
-// completion — from everything else a cycle does.
+// completion — from everything else a cycle does. The sleeping-load gate
+// runs whole cycles instead: the scheduler lists it covers only fill up in a
+// running window.
 
 // rigLoadUop is a load whose effective address is its immediate.
 func rigLoadUop(addr uint64) *isa.Uop {
@@ -186,5 +188,59 @@ func BenchmarkL1DMissRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.missRoundTrip(b, conflictLines[i%len(conflictLines)])
+	}
+}
+
+// sleepRig returns a core on the L1-resident sleep kernel, run until every
+// scheduler list has reached its working capacity.
+func sleepRig() *Core {
+	c := New(testConfig(ModeNone), sleepKernel(false))
+	for i := 0; i < 20_000; i++ {
+		c.Cycle()
+	}
+	return c
+}
+
+// sleepBlock is the unit the sleeping-load gates measure: allocation counts
+// are per run, rounded down, so a per-cycle run would hide an allocation made
+// on fewer than every cycle.
+const sleepBlock = 64
+
+// TestSleepingLoadsAllocatesNothing gates the sleep list in steady state:
+// loads going to sleep behind an unknown-address store, and waking when it
+// resolves, allocate nothing.
+func TestSleepingLoadsAllocatesNothing(t *testing.T) {
+	c := sleepRig()
+	slept, woke := 0, 0
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < sleepBlock; i++ {
+			before := len(c.sched.sleep)
+			c.Cycle()
+			if n := len(c.sched.sleep); n > before {
+				slept++
+			} else if n < before {
+				woke++
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d sleeping-load cycles allocate %v times, want 0", sleepBlock, allocs)
+	}
+	if slept == 0 || woke == 0 {
+		t.Fatalf("loads fell asleep on %d cycles and woke on %d; the window does not exercise the sleep list", slept, woke)
+	}
+}
+
+// BenchmarkSleepingLoadsCycles times sleepBlock steady-state cycles of a
+// window whose loads sleep and wake behind unknown-address stores;
+// allocs/op must read 0.
+func BenchmarkSleepingLoadsCycles(b *testing.B) {
+	c := sleepRig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < sleepBlock; j++ {
+			c.Cycle()
+		}
 	}
 }

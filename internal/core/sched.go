@@ -19,9 +19,19 @@ package core
 //     or fail disambiguation are set aside on a parked list, reproducing the
 //     scan's "skip and retry next cycle" behavior. Because pops happen in
 //     seq order, the parked list is itself seq-sorted, so the next cycle
-//     merges it with the heap instead of re-pushing every blocked uop —
-//     a window full of disambiguation-blocked loads costs O(N) comparisons
-//     per cycle, not O(N log N) heap churn.
+//     merges it with the heap instead of re-pushing every blocked uop.
+//
+//   - Sleep: a load whose only obstacle is an older store with an unknown
+//     address leaves the parked list for a seq-sorted sleep list. It would
+//     fail the same check every cycle until that store's address is
+//     computed — an event, never something the select loop itself does — so
+//     the loop stops re-examining it. Each cycle starts by waking the
+//     sleepers older than the oldest unknown-address store (all of them in
+//     runahead, where loads ignore unknown addresses) back into the parked
+//     list. A sleeper never issues and never takes a port or a width slot,
+//     so leaving it out of the loop changes no selection: the issue
+//     sequence, every statistic and the warp's zero-issue test are exactly
+//     the scan's.
 //
 //   - Store-address index: in-window stores with computed addresses are
 //     indexed by 8-byte address bucket, and stores whose address is still
@@ -31,10 +41,12 @@ package core
 //
 // Squash and runahead exit never search these structures: entries are
 // invalidated lazily (a popped or woken uop that is squashed, issued, or
-// executed is skipped and dropped), and the wholesale runahead flush clears
-// everything. At quiescence (Drain) the structures hold only dead entries,
-// so snapshots need no scheduler state: a restored core rebuilds them empty,
-// which is exactly their canonical drained form.
+// executed is skipped and dropped; a squashed sleeper is dropped at the end
+// of the first select whose loop would have reached it on the parked list),
+// and the wholesale runahead flush clears everything. At quiescence (Drain)
+// the structures hold only dead entries, so snapshots need no scheduler
+// state: a restored core rebuilds them empty, which is exactly their
+// canonical drained form.
 //
 // Config.Scheduler selects between this scheduler (SchedEvent, the default)
 // and the preserved reference scan (SchedScan). The two must pick identical
@@ -65,7 +77,13 @@ type issueSched struct {
 	readyQ   readyHeap    // ready, unissued uops, keyed by captured seq
 	parked   []schedRef   // seq-sorted: uops popped earlier but port/disambiguation-blocked
 	deferred []schedRef   // scratch for building next cycle's parked list
+	sleep    []schedRef   // seq-sorted: loads waiting for an older unknown-address store
+	dozing   []schedRef   // scratch: loads put to sleep this cycle, in seq order
 	waiters  [][]schedRef // per physical register: uops waiting on its broadcast
+
+	// sleepStale marks a squash that may have killed sleepers: they stay
+	// counted until a select loop passes their position (see dropStaleSleepers).
+	sleepStale bool
 
 	unknownStores seqHeap               // in-window stores with no computed address, keyed by captured seq
 	storeIdx      map[uint64][]*DynInst // in-window EAValid stores by EA>>3 bucket (maintained eagerly)
@@ -86,6 +104,9 @@ func (s *issueSched) clear() {
 	s.readyQ = s.readyQ[:0]
 	s.parked = s.parked[:0]
 	s.deferred = s.deferred[:0]
+	s.sleep = s.sleep[:0]
+	s.dozing = s.dozing[:0]
+	s.sleepStale = false
 	for i := range s.waiters {
 		s.waiters[i] = s.waiters[i][:0]
 	}
@@ -260,23 +281,29 @@ func (c *Core) forwardingStore(d *DynInst) *DynInst {
 // issueStageEvent selects up to IssueWidth ready uops, oldest first, bounded
 // by data-cache ports — the event-driven replacement for the ROB scan.
 // Candidates come from two seq-sorted sources merged on the fly: the parked
-// list (uops blocked on a port or disambiguation in an earlier cycle) and the
-// ready heap (fresh wakeups). The merge emits exactly the oldest-first order
-// a single heap produced, including same-cycle wakeups: a uop completed
-// during this loop (poison propagation) broadcasts into the heap and, being
-// younger than its producer, is reached in the same relative order the
-// forward scan used. Blocked uops land on the deferred scratch in emission
-// (= seq) order, and entries the width cut-off never reached follow them —
-// still sorted, because everything emitted precedes everything unexamined —
-// so the scratch becomes the next cycle's parked list with no heap re-insert.
+// list (uops blocked on a port or disambiguation in an earlier cycle, plus
+// the sleepers wakeSleepers just returned) and the ready heap (fresh
+// wakeups). The merge emits exactly the oldest-first order a single heap
+// produced, including same-cycle wakeups: a uop completed during this loop
+// (poison propagation) broadcasts into the heap and, being younger than its
+// producer, is reached in the same relative order the forward scan used.
+// Blocked uops land on the deferred scratch in emission (= seq) order, and
+// entries the width cut-off never reached follow them — still sorted,
+// because everything emitted precedes everything unexamined — so the scratch
+// becomes the next cycle's parked list with no heap re-insert. Loads blocked
+// behind an unknown-address store go to sleep instead.
 //
 //simlint:hotpath
 func (c *Core) issueStageEvent() {
 	issued, memIssued := 0, 0
 	s := &c.sched
 	c.prof.schedSelects++
-	c.prof.schedQueueSum += uint64(len(s.readyQ) + len(s.parked))
-	def := s.deferred[:0]
+	c.prof.schedQueueSum += uint64(len(s.readyQ) + len(s.parked) + len(s.sleep))
+	c.wakeSleepers()
+	def, doze := s.deferred[:0], s.dozing[:0]
+	// reach is the seq of the width-limiting issue: entries at or beyond it
+	// were never examined. An exhausted candidate stream examined them all.
+	reach := ^uint64(0)
 	pi := 0
 	for issued < c.cfg.IssueWidth {
 		var r schedRef
@@ -302,37 +329,151 @@ func (c *Core) issueStageEvent() {
 				def = append(def, r)
 				continue
 			}
-			if d.U.Op.IsLoad() && !c.loadCanIssueEvent(d) {
-				def = append(def, r)
-				continue
+			if d.U.Op.IsLoad() {
+				if ok, sleep := c.loadCanIssueEvent(d); !ok {
+					if sleep {
+						doze = append(doze, r)
+					} else {
+						def = append(def, r)
+					}
+					continue
+				}
 			}
 		}
 		c.issue(d)
 		issued++
+		if issued == c.cfg.IssueWidth {
+			reach = r.seq
+		}
 		if d.U.Op.IsMem() {
 			memIssued++
 		}
 	}
 	def = append(def, s.parked[pi:]...)
 	s.parked, s.deferred = def, s.parked[:0]
+	if s.sleepStale {
+		s.dropStaleSleepers(reach)
+	}
+	s.sleep = insertSorted(s.sleep, doze)
+	clear(doze)
+	s.dozing = doze[:0]
+}
+
+// wakeSleepers returns to the parked list every sleeper the next loop could
+// issue: those older than the oldest unknown-address store, or all of them
+// during runahead. The rest would fail the same check and stay asleep.
+//
+//simlint:hotpath
+func (c *Core) wakeSleepers() {
+	s := &c.sched
+	n := 0
+	if c.ra.active {
+		n = len(s.sleep)
+	} else if len(s.sleep) > 0 {
+		u := c.oldestUnknownStoreSeq()
+		for n < len(s.sleep) && s.sleep[n].seq < u {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	merged := mergeSorted(s.deferred[:0], s.parked, s.sleep[:n])
+	clear(s.parked)
+	s.parked, s.deferred = merged, s.parked[:0]
+	rest := copy(s.sleep, s.sleep[n:])
+	clear(s.sleep[rest:])
+	s.sleep = s.sleep[:rest]
+}
+
+// dropStaleSleepers drops the squashed sleepers a select loop has passed:
+// those below reach. On the parked list the loop would have popped and
+// dropped them there, so dropping them here keeps the queue-depth count
+// exact. Squashed sleepers at or beyond reach keep the flag set.
+//
+//simlint:hotpath
+func (s *issueSched) dropStaleSleepers(reach uint64) {
+	s.sleepStale = false
+	kept := s.sleep[:0]
+	for _, r := range s.sleep {
+		if r.stale() {
+			if r.seq < reach {
+				continue
+			}
+			s.sleepStale = true
+		}
+		kept = append(kept, r)
+	}
+	clear(s.sleep[len(kept):])
+	s.sleep = kept
+}
+
+// noteSquash flags the sleep list after a squash of everything younger than
+// seq: sleepers past that point are dead but stay counted until dropped.
+//
+//simlint:hotpath
+func (s *issueSched) noteSquash(seq uint64) {
+	if n := len(s.sleep); n > 0 && s.sleep[n-1].seq > seq {
+		s.sleepStale = true
+	}
+}
+
+// mergeSorted appends the seq-ordered merge of the seq-sorted a and b to dst.
+//
+//simlint:hotpath
+func mergeSorted(dst, a, b []schedRef) []schedRef {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i].seq < b[j].seq {
+			dst = append(dst, a[i])
+			i++
+		} else {
+			dst = append(dst, b[j])
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// insertSorted merges the seq-sorted add into the seq-sorted list in place,
+// back to front, so the list's backing array is reused and only entries
+// younger than add's oldest move.
+//
+//simlint:hotpath
+func insertSorted(list, add []schedRef) []schedRef {
+	i := len(list) - 1
+	list = append(list, add...)
+	for j, k := len(add)-1, len(list)-1; j >= 0; k-- {
+		if i >= 0 && list[i].seq > add[j].seq {
+			list[k] = list[i]
+			i--
+		} else {
+			list[k] = add[j]
+			j--
+		}
+	}
+	return list
 }
 
 // loadCanIssueEvent is the indexed form of the loadCanIssue walk: consult
 // the oldest unknown-address store and at most three address buckets instead
-// of every older store in the window. Semantics are identical to the scan
-// reference, including the conservative unknown-EA wait.
-func (c *Core) loadCanIssueEvent(d *DynInst) bool {
+// of every older store in the window. ok has the scan reference's semantics
+// exactly, including the conservative unknown-EA wait. sleep reports the one
+// blocker only an event can clear — an older store with an unknown address —
+// so the caller can stop re-examining the load until that store resolves.
+func (c *Core) loadCanIssueEvent(d *DynInst) (ok, sleep bool) {
 	if c.ra.active {
-		return true
+		return true, false
 	}
-	ea, ok := d.predictedEA(c)
-	if !ok {
+	ea, known := d.predictedEA(c)
+	if !known {
 		// The load's own address is unknowable (poisoned sources): wait
 		// rather than disambiguate against a fabricated address.
-		return false
+		return false, false
 	}
 	if c.oldestUnknownStoreSeq() < d.Seq {
-		return false
+		return false, true
 	}
 	bs := overlapBuckets(ea)
 	for i, b := range bs {
@@ -341,11 +482,11 @@ func (c *Core) loadCanIssueEvent(d *DynInst) bool {
 		}
 		for _, s := range c.sched.storeIdx[b] {
 			if s.Seq < d.Seq && !s.Poisoned && overlaps(s.EA, ea) && !s.Executed {
-				return false
+				return false, false
 			}
 		}
 	}
-	return true
+	return true, false
 }
 
 // readyHeap is a min-heap of schedRefs keyed by captured sequence number:

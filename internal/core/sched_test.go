@@ -197,7 +197,7 @@ func TestPredictedEAConservative(t *testing.T) {
 	if c.loadCanIssueScan(0, d) {
 		t.Fatal("scan scheduler issued a load with an unknowable address")
 	}
-	if c.loadCanIssueEvent(d) {
+	if ok, _ := c.loadCanIssueEvent(d); ok {
 		t.Fatal("event scheduler issued a load with an unknowable address")
 	}
 
@@ -255,4 +255,160 @@ func TestWatchdogSurvivesRunaheadEntry(t *testing.T) {
 			t.Fatalf("%v: gather workload never entered runahead", mode)
 		}
 	}
+}
+
+// sleepKernel keeps loads asleep behind unknown-address stores. Each
+// iteration's store takes its address from a three-deep div chain and is
+// followed by up to a dozen independent L1-resident loads, which wait tens of
+// cycles for that address. A branch on a pseudo-random bit sits between the
+// loads and mispredicts about half the time, squashing the sleepers behind
+// it. With gather set, a DRAM miss heads each iteration, so runahead enters
+// while loads sleep; without it the kernel stays L1-resident.
+func sleepKernel(gather bool) *prog.Program {
+	b := prog.NewBuilder("sleep")
+	const slots = 1 << 14
+	big := b.Alloc(slots*2048, 64)
+	arr := b.Alloc(4096, 64)
+	const rI, rBig, rMask, rG, rArr, rOne, rSeed, rQ, rT, rAcc, rV = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11
+	entry := b.Block("entry")
+	loop := b.Block("loop")
+	fall := b.Block("fall")
+	taken := b.Block("taken")
+	entry.Movi(rI, 0).Movi(rBig, int64(big)).Movi(rMask, slots-1).Movi(rArr, int64(arr)).
+		Movi(rOne, 1).Movi(rSeed, 12345).Movi(rAcc, 0).Jmp(loop)
+	if gather {
+		loop.OpI(isa.MULI, rG, rI, 40503).Op(isa.AND, rG, rG, rMask).
+			OpI(isa.MULI, rG, rG, 2048).Add(rG, rG, rBig).Ld(rG, rG, 0).Add(rAcc, rAcc, rG)
+	}
+	// The store lands in arr[0:64]; every load reads past it, so once the
+	// address is known nothing overlaps and the loads issue.
+	loop.Op(isa.DIV, rQ, rSeed, rOne).Op(isa.DIV, rQ, rQ, rOne).Op(isa.DIV, rQ, rQ, rOne).
+		OpI(isa.ANDI, rQ, rQ, 0x38).Add(rQ, rQ, rArr).St(rQ, 0, rI).
+		OpI(isa.MULI, rSeed, rSeed, 1103515245).Addi(rSeed, rSeed, 12345).
+		OpI(isa.ANDI, rT, rSeed, 1<<16)
+	for j := int64(0); j < 4; j++ {
+		loop.Ld(rV, rArr, 64+8*j).Add(rAcc, rAcc, rV)
+	}
+	loop.Bnez(rT, taken)
+	for j := int64(0); j < 4; j++ {
+		fall.Ld(rV, rArr, 128+8*j).Add(rAcc, rAcc, rV)
+	}
+	for j := int64(0); j < 4; j++ {
+		taken.Ld(rV, rArr, 192+8*j).Add(rAcc, rAcc, rV)
+	}
+	taken.Addi(rI, rI, 1).Jmp(loop)
+	return b.MustBuild()
+}
+
+// TestSleepingLoadsLockstep steps the event scheduler and the scan reference
+// side by side, cycle by cycle, on sleepKernel: the same uops must issue on
+// the same cycles, and the deep invariants (sleep list included) must hold
+// after every cycle. The kernel must actually exercise the sleep path —
+// loads asleep, sleepers squashed by a mispredicted branch, and (in the
+// runahead modes) runahead entered while loads sleep — or the test fails
+// rather than pass vacuously.
+func TestSleepingLoadsLockstep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential simulation is slow")
+	}
+	p := sleepKernel(true)
+	for _, mode := range []Mode{ModeNone, ModeTraditional, ModeBufferCC} {
+		evCfg := testConfig(mode)
+		evCfg.Scheduler = SchedEvent
+		scanCfg := evCfg
+		scanCfg.Scheduler = SchedScan
+		ev, scan := New(evCfg, p), New(scanCfg, p)
+		evRec, scanRec := &issueRecorder{}, &issueRecorder{}
+		ev.SetEventSink(evRec, 0)
+		scan.SetEventSink(scanRec, 0)
+
+		var slept, squashed, entered int // cycles that covered each path
+		seen := 0                        // issues already compared
+		var prev []schedRef              // live sleepers at the end of the previous cycle
+		for i := 0; i < 12_000; i++ {
+			wasActive := ev.ra.active
+			ev.Cycle()
+			scan.Cycle()
+			if ev.Now() != scan.Now() {
+				t.Fatalf("%v: event core at cycle %d, scan at %d", mode, ev.Now(), scan.Now())
+			}
+			if len(evRec.issues) != len(scanRec.issues) {
+				t.Fatalf("%v cycle %d: event scheduler has issued %d uops, scan %d", mode, ev.Now(), len(evRec.issues), len(scanRec.issues))
+			}
+			for ; seen < len(evRec.issues); seen++ {
+				if evRec.issues[seen] != scanRec.issues[seen] {
+					t.Fatalf("%v cycle %d: event picked seq %d, scan picked seq %d", mode, ev.Now(), evRec.issues[seen].seq, scanRec.issues[seen].seq)
+				}
+			}
+			if err := ev.CheckInvariants(true); err != nil {
+				t.Fatalf("%v cycle %d: %v\n%s", mode, ev.Now(), err, ev.DebugDump())
+			}
+			// A sleeper from last cycle that is gone now was squashed: runahead
+			// was not active then (it would have woken every sleeper), so no
+			// runahead exit could have flushed it.
+			for _, r := range prev {
+				if r.d.gen != r.gen || r.d.Squashed {
+					squashed++
+					break
+				}
+			}
+			if len(prev) > 0 && !wasActive && ev.ra.active {
+				entered++
+			}
+			prev = prev[:0]
+			for _, r := range ev.sched.sleep {
+				if !r.stale() {
+					prev = append(prev, r)
+				}
+			}
+			if len(prev) > 0 {
+				slept++
+			}
+		}
+		t.Logf("%v: %d cycles end with loads asleep, %d squash sleepers, %d enter runahead over sleepers", mode, slept, squashed, entered)
+		if slept == 0 || squashed == 0 || (mode != ModeNone && entered == 0) {
+			t.Fatalf("%v: sleep path not covered", mode)
+		}
+		ev.SetEventSink(nil, 0)
+		scan.SetEventSink(nil, 0)
+		evSnap, scanSnap := drainedSnapshot(t, ev), drainedSnapshot(t, scan)
+		if !bytes.Equal(evSnap, scanSnap) {
+			t.Fatalf("%v: machine snapshots differ between schedulers (%d vs %d bytes)", mode, len(evSnap), len(scanSnap))
+		}
+	}
+}
+
+// TestSleepListKeepsQueueDepth pins the queue-depth profile counter on
+// sleepKernel to the values the scheduler read before loads could sleep,
+// when every blocked load sat on the parked list. Sleepers count as queued,
+// and squashed sleepers must leave the count exactly when the select loop
+// would have popped and dropped them from the parked list.
+func TestSleepListKeepsQueueDepth(t *testing.T) {
+	for _, tc := range []struct {
+		mode     Mode
+		queueSum uint64
+	}{
+		{ModeNone, 258486},
+		{ModeTraditional, 510066},
+		{ModeBufferCC, 428657},
+	} {
+		c := New(testConfig(tc.mode), sleepKernel(true))
+		c.Run(20_000)
+		if c.prof.schedQueueSum != tc.queueSum {
+			t.Errorf("%v: queued entries summed over selects = %d, want %d", tc.mode, c.prof.schedQueueSum, tc.queueSum)
+		}
+	}
+}
+
+// drainedSnapshot drains c and returns its machine snapshot.
+func drainedSnapshot(t *testing.T, c *Core) []byte {
+	t.Helper()
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }

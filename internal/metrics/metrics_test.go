@@ -8,8 +8,44 @@ import (
 	"testing"
 )
 
+// checkCompiledOut asserts the -tags nometrics contract on r: instruments
+// still register and take every call without panicking, but every read —
+// direct or exported — is zero.
+func checkCompiledOut(t *testing.T, r *Registry) {
+	t.Helper()
+	c := r.Counter("sim_off_total", "off")
+	g := r.Gauge("sim_off_gauge", "off")
+	h := r.Histogram("sim_off_hist", "off")
+	c.Inc()
+	c.Add(41)
+	g.Set(7)
+	g.Add(-3)
+	for _, v := range []int64{0, 900, 1 << 40, -5} {
+		h.Observe(v)
+	}
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+		t.Fatalf("compiled-out instruments read %d/%d/%d/%d, want zero", c.Value(), g.Value(), h.Count(), h.Sum())
+	}
+	for _, m := range r.Export() {
+		if m.Value != 0 || m.Count != 0 || m.Sum != 0 {
+			t.Fatalf("compiled-out instrument %s exports %+v, want zero", m.Name, m)
+		}
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
+	if !Enabled {
+		checkCompiledOut(t, r)
+		return
+	}
 	c := r.Counter("sim_test_ops_total", "ops")
 	c.Inc()
 	c.Add(41)
@@ -41,6 +77,10 @@ func TestRegistrationIdempotent(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
+	if !Enabled {
+		checkCompiledOut(t, r)
+		return
+	}
 	h := r.Histogram("sim_test_jump_cycles", "jumps")
 	for _, v := range []int64{0, 1, 2, 3, 900, 1 << 40, -5} {
 		h.Observe(v)
@@ -97,6 +137,10 @@ func TestConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if !Enabled {
+		checkCompiledOut(t, r)
+		return
+	}
 	if got := r.Counter("sim_conc_total", "").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
 	}
