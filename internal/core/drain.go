@@ -103,7 +103,9 @@ func (c *Core) FetchPC() uint64 { return c.fetchPC }
 // — comes from a functional checkpoint. The sampled-simulation engine uses it
 // to start a detailed interval at an arbitrary point of the program; the
 // interval's detailed warmup then re-warms the microarchitectural state.
-// Ownership of st.Mem transfers to the core.
+// The core writes st.Mem itself; a caller that keeps the checkpoint, or
+// shares it between goroutines, passes a Clone of st.Mem, which copies only
+// the page table.
 func NewFromArch(cfg Config, p *prog.Program, st prog.ArchState) *Core {
 	c := newCore(cfg, p, st.Mem, nil, 0)
 	c.archVal = st.Regs

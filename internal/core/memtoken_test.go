@@ -192,7 +192,8 @@ func BenchmarkL1DMissRoundTrip(b *testing.B) {
 }
 
 // sleepRig returns a core on the L1-resident sleep kernel, run until every
-// scheduler list has reached its working capacity.
+// scheduler list has reached its working capacity and every page the
+// kernel stores to has been copied out of the program's shared image.
 func sleepRig() *Core {
 	c := New(testConfig(ModeNone), sleepKernel(false))
 	for i := 0; i < 20_000; i++ {

@@ -213,9 +213,9 @@ type entry struct {
 }
 
 // profEntry holds one bench's memoized interpreter-speed passes, each
-// single-flight like a detailed run: the twin profile (once) and the phase
-// plan (planOnce). Neither depends on the configuration, so every
-// configuration of a bench shares them.
+// single-flight like a detailed run: the twin profile (once), the phase
+// plan (planOnce) and the checkpoint walks. None depends on the
+// configuration, so every configuration of a bench shares them.
 type profEntry struct {
 	once sync.Once
 	wp   *twin.WorkloadProfile
@@ -223,18 +223,67 @@ type profEntry struct {
 	planOnce sync.Once
 	plan     *phases.Plan
 	planErr  error
+
+	// pending holds the keys of the bench's planned pairs that have not run
+	// yet. While any remain, their detailed runs share one checkpoint walk
+	// per warm geometry (walks); the last one to run releases the walks.
+	// Both fields are guarded by Runner.mu.
+	pending map[string]bool
+	walks   map[walkKey]*ckWalk
 }
 
 // profile returns the bench's profile entry, creating it on first use.
 func (r *Runner) profile(bench string) *profEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.profileLocked(bench)
+}
+
+func (r *Runner) profileLocked(bench string) *profEntry {
 	e := r.profiles[bench]
 	if e == nil {
 		e = &profEntry{}
 		r.profiles[bench] = e
 	}
 	return e
+}
+
+// checkpointWalk returns the walk a detailed run of pair k takes its
+// checkpoints from. A planned pair that has not run yet shares its bench's
+// walk for the warm geometry of cfg, creating it on first use; any other run
+// walks privately.
+func (r *Runner) checkpointWalk(bench, k string, cfg core.Config, plan []checkpoint) *ckWalk {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.profiles[bench]
+	if e == nil || !e.pending[k] {
+		return newWalk(plan)
+	}
+	wk := walkKey{cfg.Mem.L1I, cfg.Mem.L1D, cfg.Mem.LLC, cfg.BPred}
+	w := e.walks[wk]
+	if w == nil {
+		w = newWalk(plan)
+		if e.walks == nil {
+			e.walks = make(map[walkKey]*ckWalk)
+		}
+		e.walks[wk] = w
+	}
+	return w
+}
+
+// ran marks pair k as run, by whichever tier, and releases the bench's
+// checkpoint walks once no planned pair of the bench is left to run.
+func (r *Runner) ran(bench, k string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.profiles[bench]
+	if e == nil || !e.pending[k] {
+		return
+	}
+	delete(e.pending, k)
+	if len(e.pending) == 0 {
+		e.walks = nil
+	}
 }
 
 // PlannedRun names one (benchmark, configuration) pair a set of experiments
@@ -285,7 +334,10 @@ func (r *Runner) Result(bench string, rc RunConfig) *Result {
 		r.cache[k] = e
 	}
 	r.mu.Unlock()
-	e.once.Do(func() { e.res = r.run(bench, rc) })
+	e.once.Do(func() {
+		e.res = r.run(bench, rc)
+		r.ran(bench, k)
+	})
 	return e.res
 }
 
@@ -293,7 +345,9 @@ func (r *Runner) Result(bench string, rc RunConfig) *Result {
 // records its (benchmark, configuration) pair and returns a placeholder
 // without simulating. It returns the distinct pairs in first-request order —
 // the exact work list a later Prewarm needs. Placeholder-derived output must
-// be discarded; fn is for discovering the run set, not for rendering.
+// be discarded; fn is for discovering the run set, not for rendering. The
+// planned pairs that have not run yet share one checkpoint walk per bench
+// until the last of them has run.
 func (r *Runner) Plan(fn func(*Runner)) []PlannedRun {
 	r.mu.Lock()
 	r.planning = true
@@ -303,6 +357,17 @@ func (r *Runner) Plan(fn func(*Runner)) []PlannedRun {
 	fn(r)
 	r.mu.Lock()
 	runs := r.planned
+	for _, pr := range runs {
+		k := key(pr.Bench, pr.Config)
+		if r.cache[k] != nil {
+			continue
+		}
+		e := r.profileLocked(pr.Bench)
+		if e.pending == nil {
+			e.pending = make(map[string]bool)
+		}
+		e.pending[k] = true
+	}
 	r.planning = false
 	r.planSeen = nil
 	r.planned = nil

@@ -152,6 +152,105 @@ func TestBBVProfileOncePerBench(t *testing.T) {
 	}
 }
 
+// ffLog counts fast-forward phases, the checkpoint walks, per bench.
+type ffLog struct {
+	phaseLog
+	walks map[string]int
+}
+
+func (l *ffLog) Phase(bench, config string, interval int, phase string, goal uint64) {
+	l.phaseLog.Phase(bench, config, interval, phase, goal)
+	if phase == "fast-forward" {
+		l.mu.Lock()
+		l.walks[bench]++
+		l.mu.Unlock()
+	}
+}
+
+func (l *ffLog) count(bench string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.walks[bench]
+}
+
+// heldWalks reports how many checkpoint walks the runner still holds for
+// bench.
+func heldWalks(r *Runner, bench string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.profiles[bench]; e != nil {
+		return len(e.walks)
+	}
+	return 0
+}
+
+// TestCheckpointWalkOncePerBench checks the checkpoint walk is shared per
+// bench: a phase-sampled Figure 9 plus Base+PF plan over two benches,
+// prewarmed on two workers, walks each bench once; the bench's checkpoints
+// are held until its last planned pair has run and released after; and an
+// unplanned Result walks privately to the same bytes a fresh runner gives.
+func TestCheckpointWalkOncePerBench(t *testing.T) {
+	benches := []string{"mcf", "libquantum"}
+	opts := Options{MeasureUops: 20_000, WarmupUops: 10_000, Benchmarks: benches,
+		Sample: &SampleOptions{Mode: SamplePhase, Intervals: 4, WarmupUops: 5_000, WindowUops: 5_000, Workers: 2}}
+	fl := &ffLog{walks: map[string]int{}}
+	withLog := opts
+	withLog.Monitor = fl
+	r := NewRunner(withLog)
+	plan := r.Plan(func(r *Runner) {
+		Figure9(r)
+		for _, b := range benches {
+			r.Result(b, Baseline.WithPF())
+		}
+	})
+	if len(plan) != 12 {
+		t.Fatalf("plan has %d runs, want 12", len(plan))
+	}
+	if last := plan[len(plan)-1]; last.Bench != "libquantum" || last.Config != Baseline.WithPF() {
+		t.Fatalf("last planned run is %s/%s, want libquantum/PF", last.Bench, last.Config.Label())
+	}
+	r.Prewarm(plan[:len(plan)-1], 2)
+	if got := heldWalks(r, "mcf"); got != 0 {
+		t.Errorf("mcf holds %d walks after its last planned pair ran, want 0", got)
+	}
+	if got := heldWalks(r, "libquantum"); got != 1 {
+		t.Errorf("libquantum holds %d walks with a planned pair still to run, want 1", got)
+	}
+	r.Prewarm(plan[len(plan)-1:], 2)
+	for _, b := range benches {
+		if got := fl.count(b); got != 1 {
+			t.Errorf("%s: %d checkpoint walks for its 6 planned runs, want 1", b, got)
+		}
+		if got := heldWalks(r, b); got != 0 {
+			t.Errorf("%s holds %d walks after every planned pair ran, want 0", b, got)
+		}
+	}
+
+	// Planned results equal a fresh runner's private walks, and so does an
+	// unplanned pair asked of the runner afterwards.
+	fresh := NewRunner(opts)
+	extra := PlannedRun{Bench: "mcf", Config: Runahead.WithPF()}
+	for _, pr := range append([]PlannedRun{plan[1], plan[len(plan)-1]}, extra) {
+		got, err := json.Marshal(r.Result(pr.Bench, pr.Config))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(fresh.Result(pr.Bench, pr.Config))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s/%s differs from a private walk's result", pr.Bench, pr.Config.Label())
+		}
+	}
+	if got := fl.count("mcf"); got != 2 {
+		t.Errorf("mcf made %d checkpoint walks, want 2: the shared one and the unplanned pair's own", got)
+	}
+	if got := heldWalks(r, "mcf"); got != 0 {
+		t.Errorf("a private walk was kept: mcf holds %d walks", got)
+	}
+}
+
 // TestSampledProgressGoalNoWrap runs the sampled engine with a warmup far
 // larger than the first checkpoint offset and checks no telemetry goal
 // wrapped around uint64 (the /progress regression).

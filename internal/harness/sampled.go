@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"runaheadsim/internal/bpred"
+	"runaheadsim/internal/cache"
 	"runaheadsim/internal/core"
 	"runaheadsim/internal/energy"
 	"runaheadsim/internal/isa"
@@ -304,6 +305,81 @@ func (w *warmState) install(c *core.Core) {
 	c.Bpred().CopyFrom(w.bp)
 }
 
+// walkKey identifies the warm state a checkpoint walk trains: the cache
+// geometries and the branch predictor. configFor changes neither, so every
+// configuration of a bench shares one walk.
+type walkKey struct {
+	l1i, l1d, llc cache.Config
+	bp            bpred.Config
+}
+
+// ckWalk is one functional walk through a bench's checkpoint plan. It takes
+// each checkpoint as it passes and hands it out at once, so the first run's
+// windows overlap the walk. A taken checkpoint never changes: install copies
+// its warm state, and each window's core writes a Clone of its image. So any
+// number of runs may read the list, concurrently and after the walk ends.
+type ckWalk struct {
+	start sync.Once
+	cks   []checkpoint    // the plan; the walk fills in st and warm
+	ready []chan struct{} // ready[i] closes when cks[i] is taken or the walk fails
+	done  chan struct{}   // closes when the walk has ended
+	err   error           // the walk's failure; read it after done closes
+}
+
+func newWalk(plan []checkpoint) *ckWalk {
+	w := &ckWalk{cks: plan, ready: make([]chan struct{}, len(plan)), done: make(chan struct{})}
+	for i := range w.ready {
+		w.ready[i] = make(chan struct{})
+	}
+	return w
+}
+
+// run interprets the program once, taking the checkpoints in order. A
+// sampled run's windows start mid-program, so the walk warms caches and
+// predictor on the way; a full-detail run's one window starts at program
+// entry and is left cold. The walk reports to the Monitor as the
+// "fast-forward" phase of the run that started it. A panic fails the walk:
+// the checkpoints not yet taken stay empty and err is set.
+func (w *ckWalk) run(p *prog.Program, cfg core.Config, sampled bool, m Monitor, bench, label string) {
+	taken := 0
+	defer close(w.done)
+	defer func() {
+		if rec := recover(); rec != nil {
+			w.err = fmt.Errorf("functional fast-forward: %v", rec)
+		}
+		for _, ch := range w.ready[taken:] {
+			close(ch)
+		}
+	}()
+	in := prog.NewInterp(p)
+	var warm *warmState
+	if sampled {
+		warm = newWarmState(cfg)
+		in.Observe = warm.step
+	}
+	if m != nil && sampled {
+		// The fast-forward's goal is the last checkpoint's position,
+		// saturating at zero when the warmup exceeds the window offset.
+		m.Phase(bench, label, -1, "fast-forward", w.cks[len(w.cks)-1].ffStart())
+		defer m.Done(bench, label, -1)
+	}
+	for i := range w.cks {
+		ck := &w.cks[i]
+		if ff := ck.ffStart(); ff > in.Count() {
+			in.Run(ff - in.Count())
+		}
+		ck.st = in.ArchState()
+		if warm != nil {
+			ck.warm = warm.clone()
+		}
+		if m != nil && sampled {
+			m.Progress(bench, label, -1, in.Count())
+		}
+		close(w.ready[i])
+		taken++
+	}
+}
+
 // detailedUops returns the detailed-simulation cost of a plan: every warmup
 // and measured uop that runs on the out-of-order core.
 func detailedUops(plan []checkpoint) uint64 {
@@ -362,63 +438,36 @@ func (r *Runner) runDetailed(bench string, rc RunConfig, spec workload.Spec) (*R
 	}
 	n := len(plan)
 
-	// One interpreter streams through the program once, dropping each
-	// checkpoint as it passes; the bounded channel keeps at most a couple
-	// of memory images alive beyond the ones workers hold.
-	cks := make(chan checkpoint, 1)
-	var capErr error
-	go func() {
-		defer close(cks)
-		defer func() {
-			if rec := recover(); rec != nil {
-				capErr = fmt.Errorf("functional fast-forward: %v", rec)
-			}
-		}()
-		in := prog.NewInterp(p)
-		// A sampled run's windows start mid-program, so the fast-forward
-		// warms caches and predictor on the way; a full-detail run's one
-		// window starts at program entry and is left cold.
-		var warm *warmState
-		if sampled {
-			warm = newWarmState(cfg)
-			in.Observe = warm.step
-		}
-		if m != nil && sampled {
-			// The fast-forward's goal is the last checkpoint's position,
-			// saturating at zero when the warmup exceeds the window offset.
-			m.Phase(bench, label, -1, "fast-forward", plan[n-1].ffStart())
-			defer m.Done(bench, label, -1)
-		}
-		for _, ck := range plan {
-			if ff := ck.ffStart(); ff > in.Count() {
-				in.Run(ff - in.Count())
-			}
-			ck.st = in.ArchState()
-			if warm != nil {
-				ck.warm = warm.clone()
-			}
-			if m != nil && sampled {
-				m.Progress(bench, label, -1, in.Count())
-			}
-			cks <- ck
-		}
-	}()
-
+	// The run's windows start from a checkpoint walk (checkpointWalk): the
+	// bench's shared walk for a planned pair, a private one otherwise. Each
+	// window starts as soon as the walk has taken its checkpoint.
+	w := r.checkpointWalk(bench, key(bench, rc), cfg, plan)
+	w.start.Do(func() { go w.run(p, cfg, sampled, m, bench, label) })
+	plan = w.cks
+	ids := make(chan int, n)
+	for i := range n {
+		ids <- i
+	}
+	close(ids)
 	results := make([]intervalResult, n)
 	var wg sync.WaitGroup
-	for w := 0; w < min(so.workers(), n); w++ {
+	for range min(so.workers(), n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ck := range cks {
-				results[ck.id] = r.runInterval(bench, label, cfg, p, ck)
+			for i := range ids {
+				<-w.ready[i]
+				if plan[i].st.Mem == nil {
+					continue // the walk failed before this checkpoint
+				}
+				results[i] = r.runInterval(bench, label, cfg, p, plan[i])
 			}
 		}()
 	}
 	wg.Wait()
-
-	if capErr != nil {
-		return nil, capErr
+	<-w.done
+	if w.err != nil {
+		return nil, w.err
 	}
 	merged := core.NewStats()
 	var act energy.Activity
@@ -508,7 +557,10 @@ func (r *Runner) runInterval(bench, label string, cfg core.Config, p *prog.Progr
 			m.Done(bench, label, iv)
 		}
 	}()
-	c = core.NewFromArch(cfg, p, ck.st)
+	// Other windows and runs share the checkpoint; the core writes a copy.
+	st := ck.st
+	st.Mem = st.Mem.Clone()
+	c = core.NewFromArch(cfg, p, st)
 	if ck.warm != nil {
 		ck.warm.install(c)
 	}

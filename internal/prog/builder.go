@@ -44,7 +44,8 @@ func (b *Builder) Mem() *Memory { return b.mem }
 
 // Build lays out the blocks and validates the program.
 func (b *Builder) Build() (*Program, error) {
-	p := &Program{Name: b.name, Init: b.mem}
+	// Init is a Clone, so it owns no pages and is frozen from here on.
+	p := &Program{Name: b.name, Init: b.mem.Clone()}
 	for _, bb := range b.blocks {
 		p.BlockStart = append(p.BlockStart, len(p.Uops))
 		if len(bb.uops) == 0 {

@@ -11,7 +11,9 @@ package prog
 
 import (
 	"encoding/binary"
+	"maps"
 	"sort"
+	"sync/atomic"
 )
 
 const (
@@ -22,29 +24,61 @@ const (
 
 // Memory is a sparse, byte-addressable 64-bit memory image backed by 4KB
 // pages. Reads of unmapped memory return zero; writes allocate pages on
-// demand. It is not safe for concurrent use.
+// demand.
+//
+// Images are copy-on-write at page granularity. Each map entry records the
+// ownership stamp of the image that last wrote the page, and an image writes
+// in place only to pages stamped with its own id. A page stamped otherwise
+// may be shared with other images, so the first write copies it. Clone
+// copies the page table and gives up the source's ownership, so both sides
+// copy on their next write. An image is not safe for concurrent use, except
+// that an image owning no pages is only read by Clone (see Clone).
 type Memory struct {
-	pages map[uint64]*[pageSize]byte
+	pages map[uint64]pageRef
+	id    uint64 // ownership stamp of the pages this image may write in place
+	owned int    // pages stamped with id
 }
+
+// pageRef is one mapped page and the stamp of the image that owns it.
+type pageRef struct {
+	data  *[pageSize]byte
+	owner uint64
+}
+
+// memIDs hands out ownership stamps. Stamps start at 1, so an unmapped
+// page's zero pageRef is never owned.
+var memIDs atomic.Uint64
 
 // NewMemory returns an empty memory image.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*[pageSize]byte)}
+	return &Memory{pages: make(map[uint64]pageRef), id: memIDs.Add(1)}
 }
 
-func (m *Memory) page(addr uint64, alloc bool) *[pageSize]byte {
+// page returns the page holding addr for reading, nil when unmapped.
+func (m *Memory) page(addr uint64) *[pageSize]byte {
+	return m.pages[addr>>pageShift].data
+}
+
+// writable returns the page holding addr for writing: allocated when
+// unmapped, copied first when this image does not own it.
+func (m *Memory) writable(addr uint64) *[pageSize]byte {
 	pn := addr >> pageShift
-	p := m.pages[pn]
-	if p == nil && alloc {
-		p = new([pageSize]byte)
-		m.pages[pn] = p
+	ref := m.pages[pn]
+	if ref.owner == m.id {
+		return ref.data
 	}
+	p := new([pageSize]byte)
+	if ref.data != nil {
+		*p = *ref.data
+	}
+	m.pages[pn] = pageRef{data: p, owner: m.id}
+	m.owned++
 	return p
 }
 
 // ByteAt returns the byte at addr (zero if unmapped).
 func (m *Memory) ByteAt(addr uint64) byte {
-	p := m.page(addr, false)
+	p := m.page(addr)
 	if p == nil {
 		return 0
 	}
@@ -53,14 +87,14 @@ func (m *Memory) ByteAt(addr uint64) byte {
 
 // SetByte stores b at addr.
 func (m *Memory) SetByte(addr uint64, b byte) {
-	m.page(addr, true)[addr&pageMask] = b
+	m.writable(addr)[addr&pageMask] = b
 }
 
 // Read64 returns the little-endian 64-bit value at addr. The access may span
 // a page boundary.
 func (m *Memory) Read64(addr uint64) int64 {
 	if addr&pageMask <= pageSize-8 {
-		p := m.page(addr, false)
+		p := m.page(addr)
 		if p == nil {
 			return 0
 		}
@@ -79,7 +113,7 @@ func (m *Memory) Read64(addr uint64) int64 {
 func (m *Memory) Write64(addr uint64, val int64) {
 	v := uint64(val)
 	if addr&pageMask <= pageSize-8 {
-		p := m.page(addr, true)
+		p := m.writable(addr)
 		off := addr & pageMask
 		for i := uint64(0); i < 8; i++ {
 			p[off+i] = byte(v >> (8 * i))
@@ -103,15 +137,17 @@ func (m *Memory) pageNums() []uint64 {
 	return pns
 }
 
-// Clone returns a deep copy of the memory image.
+// Clone returns a copy of the image that shares every page with m. m gives
+// up ownership of its pages, so each side copies a page the first time it
+// writes to it, and the next Clone of m costs only the pages written in
+// between. Cloning an image that owns no pages only reads it, so any number
+// of goroutines may Clone such an image at once: a checkpoint (ArchState),
+// or a Program's Init.
 func (m *Memory) Clone() *Memory {
-	c := NewMemory()
-	for _, pn := range m.pageNums() {
-		cp := new([pageSize]byte)
-		*cp = *m.pages[pn]
-		c.pages[pn] = cp
+	if m.owned > 0 {
+		m.id, m.owned = memIDs.Add(1), 0
 	}
-	return c
+	return &Memory{pages: maps.Clone(m.pages), id: memIDs.Add(1)}
 }
 
 // Pages returns the number of mapped pages.
@@ -125,8 +161,10 @@ func (m *Memory) Equal(o *Memory) bool {
 
 func (m *Memory) subsetOf(o *Memory) bool {
 	for _, pn := range m.pageNums() {
-		p := m.pages[pn]
-		q := o.pages[pn]
+		p, q := m.pages[pn].data, o.pages[pn].data
+		if p == q {
+			continue // shared page
+		}
 		if q == nil {
 			if *p != ([pageSize]byte{}) {
 				return false
@@ -153,7 +191,10 @@ func (m *Memory) FirstDiff(o *Memory) (addr uint64, ok bool) {
 			continue // page mapped in both images, already compared
 		}
 		prev = pn
-		p, q := m.pages[pn], o.pages[pn]
+		p, q := m.pages[pn].data, o.pages[pn].data
+		if p == q {
+			continue // shared page
+		}
 		if p == nil {
 			p = &zero
 		}

@@ -19,8 +19,9 @@ type Program struct {
 	// BlockOf[i] is the block containing uop i.
 	BlockOf []isa.BlockID
 
-	// Init is the initial memory image. Use NewMemory to obtain a private,
-	// mutable copy for a run.
+	// Init is the initial memory image, frozen when Build returns: it owns
+	// no pages, so NewMemory may copy it from any goroutine. Never write it;
+	// use NewMemory to obtain a mutable copy for a run.
 	Init *Memory
 }
 
@@ -71,7 +72,8 @@ func (p *Program) TakenTarget(u *isa.Uop) uint64 {
 	return p.BlockAddr(u.Target)
 }
 
-// NewMemory returns a fresh copy of the program's initial memory image.
+// NewMemory returns a copy-on-write copy of the program's initial memory
+// image.
 func (p *Program) NewMemory() *Memory { return p.Init.Clone() }
 
 // Validate checks structural invariants: branch targets in range, block

@@ -17,35 +17,49 @@ func (m *Memory) SnapshotTo(w *snapshot.Writer) error {
 	pns := m.pageNums()
 	live := pns[:0]
 	for _, pn := range pns {
-		if *m.pages[pn] != zero {
+		if *m.pages[pn].data != zero {
 			live = append(live, pn)
 		}
 	}
 	w.Int(len(live))
 	for _, pn := range live {
 		w.U64(pn)
-		w.Raw(m.pages[pn][:])
+		w.Raw(m.pages[pn].data[:])
 	}
 	return nil
 }
 
-// RestoreFrom replaces m's contents with the snapshotted image.
+// RestoreFrom replaces m's contents with the snapshotted image; m owns every
+// restored page. The page count comes from the input, so it is checked
+// before it sizes anything: a negative count is rejected, and the page table
+// never preallocates more entries than the rest of the payload can hold.
+// Page numbers must ascend, as SnapshotTo writes them.
 func (m *Memory) RestoreFrom(r *snapshot.Reader) error {
 	r.Expect("mem")
 	n := r.Int()
 	if r.Err() != nil {
 		return r.Err()
 	}
-	m.pages = make(map[uint64]*[pageSize]byte, n)
+	if n < 0 {
+		return fmt.Errorf("mem: negative page count %d", n)
+	}
+	m.id, m.owned = memIDs.Add(1), 0
+	var prev uint64
+	m.pages = make(map[uint64]pageRef, min(n, len(r.Rest())/(8+pageSize)))
 	for i := 0; i < n; i++ {
 		pn := r.U64()
 		raw := r.Raw(pageSize)
 		if r.Err() != nil {
 			return r.Err()
 		}
+		if i > 0 && pn <= prev {
+			return fmt.Errorf("mem: page %#x follows page %#x", pn, prev)
+		}
+		prev = pn
 		p := new([pageSize]byte)
 		copy(p[:], raw)
-		m.pages[pn] = p
+		m.pages[pn] = pageRef{data: p, owner: m.id}
+		m.owned++
 	}
 	return r.Err()
 }
@@ -69,7 +83,8 @@ func (p *Program) TextDigest() uint64 {
 // ArchState is a pure architectural checkpoint: the committed memory image,
 // register file, and program position. It contains no microarchitectural
 // state, so it can seed a cold detailed core (core.NewFromArch) or a fresh
-// interpreter (NewInterpAt).
+// interpreter (NewInterpAt). Both write the image they are given, so a
+// checkpoint seeds them with a Clone of Mem and stays reusable.
 type ArchState struct {
 	Mem   *Memory
 	Regs  [isa.NumArchRegs]int64
@@ -78,14 +93,16 @@ type ArchState struct {
 }
 
 // ArchState captures the interpreter's architectural state. The memory image
-// is deep-cloned, so the checkpoint stays valid as the interpreter runs on.
+// is a copy-on-write Clone that owns no pages: it stays valid as the
+// interpreter runs on, costs only the pages written since the previous
+// checkpoint, and any number of goroutines may Clone it at once.
 func (in *Interp) ArchState() ArchState {
 	return ArchState{Mem: in.Mem.Clone(), Regs: in.Regs, Index: in.pc, Count: in.count}
 }
 
-// NewInterpAt returns an interpreter positioned at the checkpoint. Ownership
-// of st.Mem transfers to the interpreter; callers that need the checkpoint
-// again must Clone it first.
+// NewInterpAt returns an interpreter positioned at the checkpoint. The
+// interpreter writes st.Mem itself; a caller that keeps the checkpoint, or
+// shares it between goroutines, passes a Clone of st.Mem instead.
 func NewInterpAt(p *Program, st ArchState) *Interp {
 	return &Interp{P: p, Mem: st.Mem, Regs: st.Regs, pc: st.Index, count: st.Count}
 }
