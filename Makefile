@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test vet lint check bench-twin bench-go sweep report examples telemetry-smoke clean
+.PHONY: test vet lint check bench-go sweep report examples telemetry-smoke clean
 
 test:
 	go test ./...
@@ -25,18 +25,6 @@ lint:
 check:
 	go test -tags simcheck ./...
 
-# Benchmark the analytical twin: run the full-detail figure9 reference
-# sweep, calibrate the interval model against it, then run a fresh screened
-# sweep (twin predictions everywhere, detailed simulation only on promoted
-# regions). Writes BENCH_twin.json: calibration accuracy (IPC MAPE, Pearson
-# r, energy MAPE, per-workload slices), promoted-region fidelity
-# (bit-identical runs, RB-vs-baseline ranking), figure9 delta signs
-# against full detail (sign_mismatches), and the wall-time ratio
-# against full detail (see DESIGN.md §15). Leaves the calibration artifact
-# at twin_coeffs.json for runahead-sweep/-report -screen.
-bench-twin:
-	go run ./cmd/runahead-sweep -j 8 -q -bench-twin BENCH_twin.json -twin twin_coeffs.json
-
 # Live-introspection smoke: the -tags nometrics build, every telemetry
 # endpoint served during a real parallel sampled sweep (including an SSE
 # progress frame), and a forced watchdog trip producing a non-empty
@@ -48,7 +36,8 @@ telemetry-smoke:
 bench-go:
 	go test -bench . -benchtime 1x .
 
-# Regenerate every table and figure at full fidelity (~10 minutes).
+# Regenerate every table and figure at the default budget (46 s with -j 2
+# on a 2-CPU Xeon host).
 sweep:
 	go run ./cmd/runahead-sweep -uops 150000 -out sweep_results.txt
 
@@ -62,7 +51,7 @@ examples:
 	go run ./examples/prefetcher_interaction
 	go run ./examples/energy_tradeoff
 
-# Removes untracked outputs only; sweep_results.txt and BENCH_*.json other
-# than BENCH_twin.json are committed records.
+# Removes untracked outputs only; sweep_results.txt and BENCH_*.json are
+# committed records.
 clean:
-	rm -rf .bench_build BENCH_twin.json twin_coeffs.json
+	rm -rf .bench_build

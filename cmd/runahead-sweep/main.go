@@ -66,10 +66,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		mix       = fs.String("mix", "", "multi-programmed mode: comma-separated kernel mix, one per core (empty = default memory-bound rotation)")
 		tele      = fs.String("telemetry-addr", "", "serve /metrics, /progress (live per-worker sweep state), /healthz and pprof on this address")
 		fdump     = fs.String("flight-dump", ".", "directory for flight-recorder crash dumps (empty disables)")
-		calibrate = fs.Bool("calibrate", false, "fit the analytical twin against detailed runs and write the artifact to -twin")
-		twinPath  = fs.String("twin", "twin_coeffs.json", "calibration artifact path (written by -calibrate, read by -screen)")
-		screen    = fs.Bool("screen", false, "screened sweep: twin predictions everywhere, detailed simulation only on promoted regions (needs a -twin artifact)")
-		benchTwin = fs.String("bench-twin", "", "benchmark the twin (calibration accuracy + screened-vs-full sweep cost) and write the JSON report here")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -137,26 +133,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			Phases: *sPhases, BBVWindows: *sBBV}
 	}
 
-	if *calibrate {
-		return runCalibrate(*twinPath, opts, benchSet, *workers, stderr)
-	}
-	if *benchTwin != "" {
-		return runBenchTwin(*benchTwin, *twinPath, opts, *workers, stderr)
-	}
-
 	if *cores > 1 || len(mixSet) > 0 {
 		return runMixMode(*cores, mixSet, opts, w, *asJSON, stderr)
 	}
 
-	expSpec := *exps
-	if *screen && expSpec == "all" {
-		// Screening targets the headline IPC sweep; the sensitivity and
-		// instrumentation experiments are outside the twin's domain and would
-		// all promote to detailed anyway.
-		expSpec = "figure9"
-		fmt.Fprintln(stderr, "screen: narrowing -experiments all to figure9 (pass -experiments explicitly to override)")
-	}
-	selected, err := selectExperiments(expSpec)
+	selected, err := selectExperiments(*exps)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -171,40 +152,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if tracker != nil {
 		tracker.SetTotalRuns(len(plan))
 	}
-
-	var sc *harness.Screen
-	if *screen {
-		model, ok := loadTwin(*twinPath, opts.MeasureUops, stderr)
-		if !ok {
-			return 1
-		}
-		sc, err = harness.BuildScreen(runner, plan, model, *workers)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		runner.SetScreen(sc)
-	}
-
-	if sc != nil {
-		runner.Prewarm(sc.Promoted(plan), *workers)
-	} else {
-		runner.Prewarm(plan, *workers)
-	}
+	runner.Prewarm(plan, *workers)
 
 	// Every run is memoized by now, so this render is deterministic and
 	// byte-identical to a fully sequential sweep.
 	var tables []harness.Table
 	for _, e := range selected {
 		t := e.Build(runner)
-		if *asJSON {
-			tables = append(tables, t)
-		} else {
-			t.Render(w)
-		}
-	}
-	if sc != nil {
-		t := sc.Table()
 		if *asJSON {
 			tables = append(tables, t)
 		} else {

@@ -28,20 +28,6 @@ func NewPlaceholderStats() *Stats {
 	return st
 }
 
-// NewTwinStats returns a Stats carrying an analytical-twin prediction: the
-// predicted cycle count, the committed-uop count the prediction covers, and
-// a CPI stack whose buckets the caller has already scaled to sum to cycles.
-// Histograms are allocated but empty — the twin does not predict
-// distributions. The stat-ownership rule keeps these writes inside the core
-// package.
-func NewTwinStats(cycles int64, committed uint64, cpi [NumCPIBuckets]int64) *Stats {
-	st := newStats()
-	st.Cycles = cycles
-	st.Committed = committed
-	st.CPIStack = cpi
-	return st
-}
-
 // SnapshotTo serializes every counter by reflection in declaration order,
 // with the field name on the wire: a restore into a build whose Stats struct
 // drifted fails on the first mismatched name instead of silently shearing
@@ -199,13 +185,6 @@ func configFingerprint(cfg Config) uint64 {
 	cfg.FlightRecorderEvents = 0
 	return snapshot.HashString(fmt.Sprintf("%+v", cfg))
 }
-
-// ConfigFingerprint is the exported form of the snapshot configuration
-// digest: two configurations share a fingerprint exactly when they simulate
-// identically. The analytical twin keys its calibration artifacts on it, so
-// a coefficient set fitted against one machine can never be silently applied
-// to another.
-func ConfigFingerprint(cfg Config) uint64 { return configFingerprint(cfg) }
 
 // Snapshot serializes the whole machine into a self-verifying container. The
 // core must be quiesced (call Drain first); dependence-walk instrumentation

@@ -13,7 +13,6 @@ import (
 	"runaheadsim/internal/energy"
 	"runaheadsim/internal/phases"
 	"runaheadsim/internal/stats"
-	"runaheadsim/internal/twin"
 	"runaheadsim/internal/workload"
 )
 
@@ -103,15 +102,16 @@ type Result struct {
 	// phase structure and per-metric confidence intervals.
 	Sampling *SamplingInfo
 
-	// Provenance records how this result was produced: ProvenanceDetailed
-	// for simulator runs (full-detail or sampled), ProvenanceTwin for
-	// analytical-twin predictions under a screened sweep.
+	// Provenance records how this result was produced. Every run is a
+	// simulator run (full-detail or sampled): ProvenanceDetailed.
 	Provenance string
 }
 
 // Options tunes harness runs. MeasureUops trades fidelity for speed; the
-// paper simulated 50M-instruction SimPoints, but the synthetic kernels are
-// phase-free so their steady state emerges within a few hundred thousand.
+// paper simulated 50M-instruction SimPoints. The synthetic kernels are
+// phase-free, but not converged at the 150k default: from 150k to 1M
+// measured uops the claim report's IPC claims move by up to 1.4 points and
+// its energy claims by 3 to 4.
 type Options struct {
 	MeasureUops uint64
 	WarmupUops  uint64 // 0 = automatic (longer for small-footprint benchmarks)
@@ -190,13 +190,8 @@ type Runner struct {
 	mixCache map[string]*mixEntry
 	profiles map[string]*profEntry
 
-	// screen, when set (see SetScreen), routes non-promoted pairs to the
-	// analytical twin instead of the detailed simulator.
-	screen *Screen
-
-	// profileWallNanos accumulates wall time spent in interpreter-speed
-	// profiling passes (BBV phase profiling, twin profiling), read via
-	// ProfileWallSec. Accessed atomically.
+	// profileWallNanos accumulates wall time spent in BBV phase profiling,
+	// read via ProfileWallSec. Accessed atomically.
 	profileWallNanos int64
 
 	// Planning mode (see Plan): Result records the requested pair and
@@ -213,13 +208,10 @@ type entry struct {
 }
 
 // profEntry holds one bench's memoized interpreter-speed passes, each
-// single-flight like a detailed run: the twin profile (once), the phase
-// plan (planOnce) and the checkpoint walks. None depends on the
-// configuration, so every configuration of a bench shares them.
+// single-flight like a detailed run: the phase plan (planOnce) and the
+// checkpoint walks. Neither depends on the configuration, so every
+// configuration of a bench shares them.
 type profEntry struct {
-	once sync.Once
-	wp   *twin.WorkloadProfile
-
 	planOnce sync.Once
 	plan     *phases.Plan
 	planErr  error
@@ -271,8 +263,8 @@ func (r *Runner) checkpointWalk(bench, k string, cfg core.Config, plan []checkpo
 	return w
 }
 
-// ran marks pair k as run, by whichever tier, and releases the bench's
-// checkpoint walks once no planned pair of the bench is left to run.
+// ran marks pair k as run and releases the bench's checkpoint walks once no
+// planned pair of the bench is left to run.
 func (r *Runner) ran(bench, k string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -444,18 +436,12 @@ func configFor(rc RunConfig) core.Config {
 	return cfg
 }
 
-// run simulates one (benchmark, configuration) pair — full-detail, sampled,
-// or (under an active screen, for non-promoted pairs) twin-predicted.
+// run simulates one (benchmark, configuration) pair, full-detail or
+// sampled.
 func (r *Runner) run(bench string, rc RunConfig) *Result {
 	spec, ok := workload.SpecOf(bench)
 	if !ok {
 		panic(fmt.Sprintf("harness: unknown benchmark %q", bench))
-	}
-	r.mu.Lock()
-	sc := r.screen
-	r.mu.Unlock()
-	if sc != nil && !sc.WantsDetailed(bench, rc) {
-		return r.twinRun(sc, bench, rc)
 	}
 	label := rc.Label()
 	if r.opts.Progress != nil {

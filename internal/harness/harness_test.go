@@ -16,6 +16,38 @@ func quick() *Runner {
 	return NewRunner(Options{MeasureUops: 8_000, WarmupUops: 8_000})
 }
 
+// TestKeyCollisionResistance is the regression test for the memo-key
+// hardening: configurations that render identically through String() paths
+// (out-of-range modes all print "unknown") or that could concatenate into
+// the same digit string must still get distinct cache keys.
+func TestKeyCollisionResistance(t *testing.T) {
+	a := RunConfig{Mode: core.Mode(200)}
+	b := RunConfig{Mode: core.Mode(201)}
+	if a.Mode.String() != b.Mode.String() {
+		t.Fatalf("precondition: out-of-range modes should share a String() rendering, got %q vs %q",
+			a.Mode.String(), b.Mode.String())
+	}
+	if key("mcf", a) == key("mcf", b) {
+		t.Error("distinct out-of-range modes must not share a cache key")
+	}
+
+	// Digit-concatenation hazard: MaxChain=1,CCEntries=12 vs MaxChain=11,
+	// CCEntries=2 both spell "112" without a separator.
+	c := BufferCC
+	c.MaxChain, c.CCEntries = 1, 12
+	d := BufferCC
+	d.MaxChain, d.CCEntries = 11, 2
+	if key("mcf", c) == key("mcf", d) {
+		t.Error("structure-size overrides must not concatenate into the same key")
+	}
+
+	// Bench/field boundary: the bench name must not bleed into the config
+	// fields.
+	if key("mcf", Baseline) == key("mcf|0", Baseline) {
+		t.Error("bench name must be delimited from config fields")
+	}
+}
+
 func TestRunnerMemoizes(t *testing.T) {
 	r := quick()
 	a := r.Result("mcf", Baseline)

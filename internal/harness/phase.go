@@ -114,6 +114,17 @@ func SamplingTable(r *Runner) Table {
 	return t
 }
 
+// ProfileWallSec reports the wall seconds this runner has spent in BBV
+// phase profiling — interpreter-speed passes that phase mode pays on top
+// of its detailed windows.
+func (r *Runner) ProfileWallSec() float64 {
+	return float64(atomic.LoadInt64(&r.profileWallNanos)) / 1e9
+}
+
+// ProvenanceDetailed is the Provenance every Result carries: it was
+// produced by the simulator, full-detail or sampled.
+const ProvenanceDetailed = "detailed"
+
 // phasePlan returns the bench's phase plan, profiling it on first use. The
 // plan depends only on the bench and the runner's options, so it is
 // memoized in the bench's profile entry and every configuration of the

@@ -7,15 +7,10 @@ import "runaheadsim/internal/cache"
 // Store and Fetch apply the tag effects of one completed demand access — the
 // same cache calls, in the same order, that Hierarchy makes for that access
 // when nothing else is in flight — so an interpreter can walk it at
-// functional speed to warm the caches (the sampled engine's fast-forward) or
-// to classify accesses by level (the analytical twin's profile). Install
-// copies the warmed arrays into a timed hierarchy.
+// functional speed to warm the caches (the sampled engine's fast-forward).
+// Install copies the warmed arrays into a timed hierarchy.
 type Tags struct {
 	L1I, L1D, LLC *cache.Cache
-	// Writebacks counts dirty lines leaving the hierarchy: LLC victims that
-	// are dirty or carry an inclusion-invalidated dirty L1D copy, and dirty
-	// L1D victims whose LLC copy is gone.
-	Writebacks uint64
 }
 
 // NewTags returns empty tag arrays sized by cfg.
@@ -30,8 +25,8 @@ func (t *Tags) Load(addr uint64) Level {
 		return LevelL1
 	}
 	lvl := t.llcAccess(line)
-	if v := t.L1D.Insert(line, false); v.Valid && v.Dirty && !t.LLC.MarkDirty(v.Addr) {
-		t.Writebacks++
+	if v := t.L1D.Insert(line, false); v.Valid && v.Dirty {
+		t.LLC.MarkDirty(v.Addr)
 	}
 	return lvl
 }
@@ -63,11 +58,8 @@ func (t *Tags) llcAccess(line uint64) Level {
 		return LevelLLC
 	}
 	if v := t.LLC.Insert(line, false); v.Valid {
-		_, dirty := t.L1D.Invalidate(v.Addr)
+		t.L1D.Invalidate(v.Addr)
 		t.L1I.Invalidate(v.Addr)
-		if v.Dirty || dirty {
-			t.Writebacks++
-		}
 	}
 	return LevelMem
 }

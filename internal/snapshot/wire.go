@@ -92,7 +92,9 @@ func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.off+n > len(r.buf) {
+	// n comes from the input: a negative length, or one so large that
+	// r.off+n would overflow, is as truncated as any other overlong one.
+	if n < 0 || n > len(r.buf)-r.off {
 		r.err = fmt.Errorf("snapshot: truncated payload: need %d bytes at offset %d of %d", n, r.off, len(r.buf))
 		return nil
 	}
