@@ -82,6 +82,9 @@ func (p *Predictor) RestoreFrom(r *snapshot.Reader) error {
 	}
 	p.ras.top = r.Int()
 	p.ras.depth = r.Int()
+	if n := len(p.ras.entries); r.Err() == nil && (p.ras.top < 0 || p.ras.top >= n || p.ras.depth < 0 || p.ras.depth > n) {
+		r.Failf("bpred: RAS top %d and depth %d do not fit %d entries", p.ras.top, p.ras.depth, n)
+	}
 	p.Lookups = r.U64()
 	p.Mispredicts = r.U64()
 	p.BTBMisses = r.U64()

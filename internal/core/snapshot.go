@@ -411,8 +411,10 @@ func (c *Core) restoreCoreFrom(r *snapshot.Reader) error {
 	c.ra.furthestReach = r.U64()
 	c.ra.haveFurthestReach = r.Bool()
 
+	// Every count below comes from the input: Reader.Count bounds it by what
+	// the rest of the payload can hold before it sizes anything.
 	r.Expect("missage")
-	n := r.Int()
+	n := r.Count("missage", 16)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -423,7 +425,7 @@ func (c *Core) restoreCoreFrom(r *snapshot.Reader) error {
 	}
 
 	r.Expect("pcscore")
-	n = r.Int()
+	n = r.Count("pcscore", 9)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -459,7 +461,7 @@ func (c *Core) restoreCoreFrom(r *snapshot.Reader) error {
 		e.lastUse = r.U64()
 		e.chain.BlockingPC = r.U64()
 		e.chain.Signature = r.U64()
-		nu := r.Int()
+		nu := r.Count("chain uop", 16)
 		if r.Err() != nil {
 			return r.Err()
 		}

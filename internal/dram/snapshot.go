@@ -95,7 +95,7 @@ func (c *Controller) RestoreFrom(r *snapshot.Reader) error {
 	c.RowMisses = r.U64()
 	c.RowConflicts = r.U64()
 	c.Rejects = r.U64()
-	n := r.Int()
+	n := r.Count("dram requestor", 5*8)
 	if r.Err() != nil {
 		return r.Err()
 	}

@@ -95,6 +95,9 @@ func (h *Hierarchy) RestoreFrom(r *snapshot.Reader) error {
 		r.Failf("memsys: hierarchy has %d requestors, snapshot has %d", len(h.fr), got)
 	}
 	h.arb.next = r.Int()
+	if r.Err() == nil && (h.arb.next < 0 || h.arb.next >= len(h.fr)) {
+		r.Failf("memsys: arbiter points at requestor %d of %d", h.arb.next, len(h.fr))
+	}
 	if r.Err() != nil {
 		return r.Err()
 	}

@@ -63,7 +63,10 @@ func (p *Prefetcher) RestoreFrom(r *snapshot.Reader) error {
 		s.next = r.U64()
 		s.lastUse = r.U64()
 	}
-	n := r.Int()
+	n := r.Count("prefetch history", 8)
+	if r.Err() == nil && n > historyLen {
+		r.Failf("prefetch: history holds %d lines, snapshot has %d", historyLen, n)
+	}
 	if r.Err() != nil {
 		return r.Err()
 	}

@@ -167,6 +167,9 @@ func (p *Prefetcher) match(ln uint64) *stream {
 	return nil
 }
 
+// historyLen is how many recent demand-miss lines train remembers.
+const historyLen = 16
+
 // train looks for two sequential misses to allocate a new stream.
 func (p *Prefetcher) train(ln uint64) {
 	for _, h := range p.history {
@@ -186,7 +189,7 @@ func (p *Prefetcher) train(ln uint64) {
 		return
 	}
 	p.history = append(p.history, ln)
-	if len(p.history) > 16 {
+	if len(p.history) > historyLen {
 		p.history = p.history[1:]
 	}
 }

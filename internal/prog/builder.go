@@ -39,12 +39,15 @@ func (b *Builder) Alloc(size, align uint64) uint64 {
 }
 
 // Mem exposes the initial memory image so workloads can seed data structures
-// (linked lists, index arrays, ...).
+// (linked lists, index arrays, ...), written word by word or, when a
+// structure is a pure function of its address, as a generated region
+// (Memory.Generate) that no image stores.
 func (b *Builder) Mem() *Memory { return b.mem }
 
 // Build lays out the blocks and validates the program.
 func (b *Builder) Build() (*Program, error) {
-	// Init is a Clone, so it owns no pages and is frozen from here on.
+	// Init is a Clone, so it owns no pages, shares the generated region, and
+	// is frozen from here on.
 	p := &Program{Name: b.name, Init: b.mem.Clone()}
 	for _, bb := range b.blocks {
 		p.BlockStart = append(p.BlockStart, len(p.Uops))

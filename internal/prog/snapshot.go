@@ -8,44 +8,42 @@ import (
 )
 
 // SnapshotTo serializes the memory image as a counted list of (page number,
-// raw page) pairs in ascending page order. All-zero pages are skipped: reads
-// of unmapped memory return zero, so dropping them is semantics-preserving
-// and keeps checkpoints proportional to the touched footprint.
+// raw page) pairs in ascending page order. Generated pages are written as
+// the content their rule gives, exactly as if they were mapped. All-zero
+// pages are skipped: reads of unmapped memory return zero, so dropping them
+// is semantics-preserving and keeps checkpoints proportional to the touched
+// footprint.
 func (m *Memory) SnapshotTo(w *snapshot.Writer) error {
 	w.Mark("mem")
-	var zero [pageSize]byte
+	var zero, buf [pageSize]byte
 	pns := m.pageNums()
 	live := pns[:0]
 	for _, pn := range pns {
-		if *m.pages[pn].data != zero {
+		if *m.pageAt(pn, &buf) != zero {
 			live = append(live, pn)
 		}
 	}
 	w.Int(len(live))
 	for _, pn := range live {
 		w.U64(pn)
-		w.Raw(m.pages[pn].data[:])
+		w.Raw(m.pageAt(pn, &buf)[:])
 	}
 	return nil
 }
 
 // RestoreFrom replaces m's contents with the snapshotted image; m owns every
-// restored page. The page count comes from the input, so it is checked
-// before it sizes anything: a negative count is rejected, and the page table
-// never preallocates more entries than the rest of the payload can hold.
-// Page numbers must ascend, as SnapshotTo writes them.
+// restored page and has no generated region. The page count comes from the
+// input, so Reader.Count bounds it by what the payload can hold before it
+// sizes the page table. Page numbers must ascend, as SnapshotTo writes them.
 func (m *Memory) RestoreFrom(r *snapshot.Reader) error {
 	r.Expect("mem")
-	n := r.Int()
+	n := r.Count("page", 8+pageSize)
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if n < 0 {
-		return fmt.Errorf("mem: negative page count %d", n)
-	}
-	m.id, m.owned = memIDs.Add(1), 0
+	m.id, m.owned, m.gen = memIDs.Add(1), 0, nil
 	var prev uint64
-	m.pages = make(map[uint64]pageRef, min(n, len(r.Rest())/(8+pageSize)))
+	m.pages = make(map[uint64]pageRef, n)
 	for i := 0; i < n; i++ {
 		pn := r.U64()
 		raw := r.Raw(pageSize)

@@ -64,6 +64,35 @@ func TestReaderStickyError(t *testing.T) {
 	}
 }
 
+// TestReaderCount checks a count is accepted only when the unread bytes can
+// hold that many elements, and that a refused count reads as 0.
+func TestReaderCount(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want string // error substring; empty for success
+	}{
+		{2, ""},
+		{3, "truncated"},
+		{-1, "negative list count"},
+		{1 << 62, "truncated"},
+	} {
+		w := &Writer{}
+		w.Int(tc.n)
+		w.Raw(make([]byte, 2*8))
+		r := NewReader(w.Bytes())
+		got := r.Count("list", 8)
+		if tc.want == "" {
+			if got != tc.n || r.Err() != nil {
+				t.Errorf("Count(%d) = %d, %v", tc.n, got, r.Err())
+			}
+			continue
+		}
+		if got != 0 || r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
+			t.Errorf("Count(%d) = %d, %v; want 0 and an error containing %q", tc.n, got, r.Err(), tc.want)
+		}
+	}
+}
+
 func TestExpectMismatch(t *testing.T) {
 	w := &Writer{}
 	w.Mark("bpred")

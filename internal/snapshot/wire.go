@@ -163,6 +163,26 @@ func (r *Reader) Bytes64() []byte {
 	return append([]byte(nil), b...)
 }
 
+// Count reads an element count written by Writer.Int ahead of a list whose
+// elements take at least elemBytes bytes each. The count comes from the
+// input, so it is checked before it sizes anything: a negative count fails,
+// and so does one the unread bytes cannot hold. On failure it returns 0, so
+// a caller may size and loop by the result before checking Err.
+func (r *Reader) Count(what string, elemBytes int) int {
+	n := r.Int()
+	switch {
+	case r.err != nil:
+		return 0
+	case n < 0:
+		r.err = fmt.Errorf("snapshot: negative %s count %d", what, n)
+		return 0
+	case n > len(r.buf[r.off:])/elemBytes:
+		r.err = fmt.Errorf("snapshot: truncated payload: %d %s entries of %d bytes, %d bytes left", n, what, elemBytes, len(r.buf[r.off:]))
+		return 0
+	}
+	return n
+}
+
 // Raw reads n unprefixed bytes written by Writer.Raw. The returned slice
 // aliases the payload; callers copy it into their own storage.
 func (r *Reader) Raw(n int) []byte { return r.take(n) }

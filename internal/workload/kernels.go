@@ -350,6 +350,29 @@ func compute(name string, footprintKB int, alu, fp int, branchy bool) *prog.Prog
 	return b.MustBuild()
 }
 
+// mcf's node list: 32K nodes, one per 192-byte stride.
+const (
+	mcfNodes      = 32768
+	mcfNodeStride = 192
+)
+
+// chaseList is mcf's node list as a generated region based at base: the
+// first word of node i points to node (i + 40503) mod mcfNodes, and every
+// other word is zero.
+type chaseList struct{ base uint64 }
+
+// word is the list's generation rule.
+//
+//simlint:hotpath
+func (l chaseList) word(addr uint64) int64 {
+	off := addr - l.base
+	if off%mcfNodeStride != 0 {
+		return 0
+	}
+	next := (off/mcfNodeStride + 40503) & (mcfNodes - 1)
+	return int64(l.base + next*mcfNodeStride)
+}
+
 // mcfKernel models mcf's mix: a short-chain independent gather (arc-array
 // dereferencing — the part the runahead buffer thrives on) plus a serial
 // pointer chase every fourth iteration (node-list walking — dependent
@@ -368,16 +391,11 @@ func mcfKernel(name string, footprint uint64, chainALU, fillerOps int) *prog.Pro
 	// Node list for the chase: 32K nodes on distinct lines spanning twice the
 	// LLC, linked by an additive full-cycle permutation (odd step over a
 	// power of two) so the walk touches every node before repeating and the
-	// working set never becomes cache-resident.
-	const (
-		nodes      = 32768
-		nodeStride = 192
-	)
-	chaseBase := b.Alloc(nodes*nodeStride, 64)
-	for i := uint64(0); i < nodes; i++ {
-		next := (i + 40503) & (nodes - 1)
-		b.Mem().Write64(chaseBase+i*nodeStride, int64(chaseBase+next*nodeStride))
-	}
+	// working set never becomes cache-resident. The list is a generated
+	// region: each node's next pointer is computed from its address, so no
+	// image stores the 6 MB.
+	chaseBase := b.Alloc(mcfNodes*mcfNodeStride, 64)
+	b.Mem().Generate(chaseBase, chaseBase+mcfNodes*mcfNodeStride, chaseList{chaseBase}.word)
 
 	const rP = isa.Reg(12)
 	entry := b.Block("entry")
