@@ -269,6 +269,9 @@ func (c *Core) execStore(d *DynInst) {
 	if d.Squashed || d.Executed {
 		return
 	}
+	// The address is computed or poisoned below: either way the store stops
+	// holding younger loads.
+	c.sched.unknown.unset(d.ROBPos)
 	addrPoisoned := c.srcPoisoned(d.PSrc1)
 	dataPoisoned := c.srcPoisoned(d.PSrc2)
 	if !addrPoisoned {
@@ -489,9 +492,10 @@ func (c *Core) complete(d *DynInst) {
 	}
 	if !d.Issued {
 		// Completed without issuing (poisoned at runahead entry); free its
-		// reservation-station slot.
+		// reservation-station slot and its ready bit.
 		d.Issued = true
 		c.rsCount--
+		c.sched.ready.unset(d.ROBPos)
 	}
 	d.Executed = true
 	d.DoneCycle = c.now
@@ -587,7 +591,6 @@ func (c *Core) robIndexOf(d *DynInst) int {
 // squashAfter removes every instruction younger than d from the machine,
 // unwinding the RAT through the saved previous mappings.
 func (c *Core) squashAfter(d *DynInst) {
-	c.sched.noteSquash(d.Seq)
 	for c.rob.size() > 0 {
 		t := c.rob.at(c.rob.size() - 1)
 		if t == d {
@@ -602,6 +605,7 @@ func (c *Core) squash(t *DynInst) {
 	t.Squashed = true
 	c.st.SquashedUops++
 	c.traceSquash(t)
+	c.sched.leave(t.ROBPos)
 	if t.U.Op.IsStore() {
 		c.dropStore(t)
 	}
@@ -624,6 +628,6 @@ func (c *Core) squash(t *DynInst) {
 		c.sqCount--
 	}
 	// The ROB slot was the last owning reference; outstanding events, memory
-	// tokens, and scheduler entries all hold gen captures and go dead now.
+	// tokens, and waiter-list entries all hold gen captures and go dead now.
 	c.freeDyn(t)
 }

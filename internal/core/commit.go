@@ -74,6 +74,7 @@ func (c *Core) commitStage() {
 func (c *Core) recycle(d *DynInst) {
 	if d.U.Op.IsLoad() {
 		c.lqCount--
+		c.sched.loads.unset(d.ROBPos)
 	}
 	if d.U.Op.IsStore() {
 		c.sqCount--

@@ -72,8 +72,8 @@ type SchedulerKind uint8
 
 const (
 	// SchedEvent is the event-driven wakeup/select scheduler (sched.go):
-	// per-register waiter lists, an age-ordered ready queue, and a
-	// store-address index. The default.
+	// per-register waiter lists, ready/unknown-store/load bitmaps over ROB
+	// slots, and a store-address index. The default.
 	SchedEvent SchedulerKind = iota
 	// SchedScan is the reference implementation: re-scan the ROB every cycle
 	// and walk older stores per load. Kept for differential testing.

@@ -223,7 +223,7 @@ func newCore(cfg Config, p *prog.Program, mem *prog.Memory, h *memsys.Hierarchy,
 		racache: newRACache(cfg.RACacheBytes, cfg.RACacheWays, cfg.RACacheLineBytes),
 		ccache:  newChainCache(cfg.ChainCacheEntries),
 		missAge: make(map[uint64]int64),
-		sched:   newIssueSched(cfg.NumPhysRegs),
+		sched:   newIssueSched(cfg.NumPhysRegs, cfg.ROBSize),
 	}
 	for i := 0; i < isa.NumArchRegs; i++ {
 		c.prf.ready[i] = true

@@ -62,12 +62,12 @@ type DynInst struct {
 
 	// pendingSrcs counts register sources still awaiting a wakeup broadcast
 	// (event scheduler only; see sched.go). Meaningless after a squash —
-	// stale scheduler entries are dropped lazily.
+	// stale waiter-list entries are dropped lazily.
 	pendingSrcs int8
 
 	// gen is the pool-reuse generation (see Core.newDyn). Every reference
 	// that can outlive the uop's window residency — scheduled events, memory
-	// completion tokens, lazy scheduler entries — captures gen at creation
+	// completion tokens, waiter-list entries — captures gen at creation
 	// and ignores the reference when it no longer matches: the slot has been
 	// recycled for a different dynamic instruction.
 	gen uint64

@@ -107,68 +107,54 @@ func (c *Core) checkDeep() error {
 }
 
 // checkSched verifies the event scheduler's bookkeeping against the ROB, the
-// ground truth both schedulers select from. The load-bearing direction is
-// liveness — a ready uop missing from the ready queue would stall forever
-// under the event scheduler while the scan would have found it — plus exact
+// ground truth both schedulers select from. Every bitmap is checked in both
+// directions, slot by slot: a bit is set exactly when the slot's uop is in
+// that state, and never at an empty slot. The load-bearing direction is
+// liveness — a ready uop whose bit is clear would stall forever under the
+// event scheduler while the scan would have found it — plus exact
 // correspondence of the store-address index (a leaked dead store would block
 // or mis-forward loads).
 func (c *Core) checkSched() error {
 	s := &c.sched
 	if c.cfg.Scheduler == SchedScan {
 		// The scan consults none of these; enroll/broadcast keep them empty.
-		if len(s.readyQ) != 0 || len(s.unknownStores) != 0 || len(s.storeIdx) != 0 {
-			return fmt.Errorf("scan scheduler selected but wakeup structures are populated (readyQ %d, unknownStores %d, storeIdx %d)",
-				len(s.readyQ), len(s.unknownStores), len(s.storeIdx))
+		if n := s.ready.count() + s.unknown.count() + s.loads.count(); n != 0 || len(s.storeIdx) != 0 {
+			return fmt.Errorf("scan scheduler selected but wakeup structures are populated (%d bitmap bits, storeIdx %d)", n, len(s.storeIdx))
 		}
 		return nil
 	}
-	if len(s.deferred) != 0 || len(s.dozing) != 0 {
-		return fmt.Errorf("scheduler scratch lists hold %d deferred and %d dozing entries between cycles", len(s.deferred), len(s.dozing))
-	}
-	inReady := make(map[*DynInst]bool, len(s.readyQ)+len(s.parked)+len(s.sleep))
-	for _, r := range s.readyQ {
-		if r.stale() {
-			continue // recycled slot or dead uop; dropped lazily at pop
+	sets := [...]slotSet{s.ready, s.unknown, s.loads}
+	names := [...]string{"ready", "unknown-store", "load"}
+	robStores := 0
+	for p := 0; p < 64*len(s.ready); p++ {
+		var d *DynInst // nil outside the window
+		if p < len(c.rob.entries) {
+			d = c.rob.entries[p]
 		}
-		if r.d.pendingSrcs != 0 {
-			return fmt.Errorf("seq %d is in the ready queue with %d pending sources", r.seq, r.d.pendingSrcs)
+		var want [len(sets)]bool
+		if d != nil {
+			want[0] = d.Renamed && !d.Issued && !d.Executed && c.srcReady(d.PSrc1) && c.srcReady(d.PSrc2)
+			want[1] = d.U.Op.IsStore() && !d.EAValid && !d.Poisoned
+			want[2] = d.U.Op.IsLoad()
+			if d.U.Op.IsStore() && d.EAValid {
+				robStores++
+			}
+			if s.ready.has(p) && d.pendingSrcs != 0 {
+				return fmt.Errorf("seq %d has its ready bit set with %d pending sources", d.Seq, d.pendingSrcs)
+			}
 		}
-		inReady[r.d] = true
-	}
-	// Parked entries are ready uops too — popped earlier, blocked on a port
-	// or disambiguation, awaiting the merge. The list must stay seq-sorted
-	// or the merge would emit out of oldest-first order.
-	for i, r := range s.parked {
-		if i > 0 && s.parked[i-1].seq >= r.seq {
-			return fmt.Errorf("parked list out of order at %d: seq %d after %d", i, r.seq, s.parked[i-1].seq)
-		}
-		if r.stale() {
-			continue
-		}
-		if r.d.pendingSrcs != 0 {
-			return fmt.Errorf("seq %d is parked with %d pending sources", r.seq, r.d.pendingSrcs)
-		}
-		inReady[r.d] = true
-	}
-	// Sleepers are ready loads set aside until an older unknown-address
-	// store resolves; they count as queued, and wakeSleepers' prefix scan
-	// needs them seq-sorted.
-	for i, r := range s.sleep {
-		if i > 0 && s.sleep[i-1].seq >= r.seq {
-			return fmt.Errorf("sleep list out of order at %d: seq %d after %d", i, r.seq, s.sleep[i-1].seq)
-		}
-		if r.stale() {
-			continue
-		}
-		if !r.d.U.Op.IsLoad() || r.d.pendingSrcs != 0 {
-			return fmt.Errorf("seq %d (%v) sleeps with %d pending sources; only ready loads sleep", r.seq, r.d.U.Op, r.d.pendingSrcs)
-		}
-		inReady[r.d] = true
-	}
-	inUnknown := make(map[*DynInst]bool, len(s.unknownStores))
-	for _, r := range s.unknownStores {
-		if r.d.gen == r.gen {
-			inUnknown[r.d] = true
+		for i, set := range sets {
+			switch got := set.has(p); {
+			case got == want[i]:
+			case d == nil:
+				return fmt.Errorf("%s bit set at empty ROB slot %d", names[i], p)
+			case i == 0 && !got:
+				return fmt.Errorf("lost wakeup: seq %d (%v) has ready sources but its ready bit is clear", d.Seq, d.U.Op)
+			case !got:
+				return fmt.Errorf("seq %d (%v) at ROB slot %d is missing from the %s bitmap", d.Seq, d.U.Op, p, names[i])
+			default:
+				return fmt.Errorf("seq %d (%v) at ROB slot %d is in the %s bitmap but not in that state", d.Seq, d.U.Op, p, names[i])
+			}
 		}
 	}
 	idxStores := 0
@@ -184,37 +170,8 @@ func (c *Core) checkSched() error {
 			}
 		}
 	}
-	robStores := 0
-	// blocker is the oldest in-window store with no address — what every
-	// sleeper waits on. Runahead loads ignore unknown addresses, so there
-	// nothing blocks and the sleep list must hold no live load.
-	blocker := ^uint64(0)
-	for i := 0; i < c.rob.size(); i++ {
-		d := c.rob.at(i)
-		if d.Squashed {
-			continue
-		}
-		if !c.ra.active && d.U.Op.IsStore() && !d.EAValid && !d.Poisoned && d.Seq < blocker {
-			blocker = d.Seq
-		}
-		if d.Renamed && !d.Issued && !d.Executed && c.srcReady(d.PSrc1) && c.srcReady(d.PSrc2) && !inReady[d] {
-			return fmt.Errorf("lost wakeup: seq %d (%v) has ready sources but is not in the ready queue", d.Seq, d.U.Op)
-		}
-		if d.U.Op.IsStore() {
-			if d.EAValid {
-				robStores++
-			} else if !d.Poisoned && !inUnknown[d] {
-				return fmt.Errorf("store seq %d has no address yet but is missing from the unknown-store heap", d.Seq)
-			}
-		}
-	}
 	if robStores != idxStores {
 		return fmt.Errorf("store index holds %d entries, but the ROB holds %d addressed stores", idxStores, robStores)
-	}
-	for _, r := range s.sleep {
-		if !r.stale() && r.seq <= blocker {
-			return fmt.Errorf("seq %d sleeps, but the oldest store with an unknown address (%d; -1 if none) is not older", r.seq, int64(blocker))
-		}
 	}
 	for p := range s.waiters {
 		for _, w := range s.waiters[p] {
@@ -222,10 +179,10 @@ func (c *Core) checkSched() error {
 				continue
 			}
 			if c.srcReady(PhysReg(p)) {
-				return fmt.Errorf("seq %d still waits on phys reg %d, which is ready", w.seq, p)
+				return fmt.Errorf("seq %d still waits on phys reg %d, which is ready", w.d.Seq, p)
 			}
 			if w.d.pendingSrcs <= 0 {
-				return fmt.Errorf("seq %d waits on phys reg %d with pending count %d", w.seq, p, w.d.pendingSrcs)
+				return fmt.Errorf("seq %d waits on phys reg %d with pending count %d", w.d.Seq, p, w.d.pendingSrcs)
 			}
 		}
 	}

@@ -90,28 +90,38 @@ func TestInvariantsCatchQueueMiscount(t *testing.T) {
 	}
 }
 
-func TestInvariantsCatchSleepListCorruption(t *testing.T) {
+// TestInvariantsCatchSchedBitmapCorruption corrupts each scheduler bitmap in
+// a window holding loads behind an unknown-address store; the deep check
+// must name each corruption.
+func TestInvariantsCatchSchedBitmapCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
-		corrupt    func(c *Core)
+		corrupt    func(c *Core, held *DynInst)
 	}{
-		{"out of order", "sleep list out of order", func(c *Core) {
-			s := c.sched.sleep
-			s[0], s[1] = s[1], s[0]
+		{"lost wakeup", "lost wakeup", func(c *Core, held *DynInst) { c.sched.ready.unset(held.ROBPos) }},
+		{"bit at an empty slot", "at empty ROB slot", func(c *Core, _ *DynInst) {
+			c.sched.ready.set((c.rob.head + c.rob.count) % len(c.rob.entries))
 		}},
-		{"pending source", "pending sources", func(c *Core) { c.sched.sleep[0].d.pendingSrcs = 1 }},
-		// In runahead nothing blocks a load, so no live load may sleep.
-		{"nothing to wait for", "is not older", func(c *Core) { c.ra.active = true }},
+		{"dropped unknown store", "missing from the unknown-store bitmap", func(c *Core, _ *DynInst) {
+			n, head := len(c.rob.entries), c.rob.head
+			end := head + c.rob.count
+			c.sched.unknown.unset(c.sched.unknown.next(nil, head, end, end, n) % n)
+		}},
+		{"unmasked held load", "missing from the load bitmap", func(c *Core, held *DynInst) { c.sched.loads.unset(held.ROBPos) }},
 	} {
 		c := New(testConfig(ModeNone), sleepKernel(false))
-		runUntil(t, c, func() bool { return len(c.sched.sleep) >= 2 })
+		var held []schedRef
+		runUntil(t, c, func() bool {
+			held = heldLoads(c, held[:0])
+			return len(held) > 0 && !c.rob.full()
+		})
 		if err := c.CheckInvariants(true); err != nil {
 			t.Fatalf("%s: pre-corruption: %v", tc.name, err)
 		}
-		tc.corrupt(c)
+		tc.corrupt(c, held[0].d)
 		err := c.CheckInvariants(true)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: sleep-list corruption not caught: %v", tc.name, err)
+			t.Fatalf("%s: bitmap corruption not caught: %v", tc.name, err)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // ticks the memory system until they complete. That isolates the L1D miss
 // path — the token a load travels as, its early-miss notice and its
 // completion — from everything else a cycle does. The sleeping-load gate
-// runs whole cycles instead: the scheduler lists it covers only fill up in a
+// runs whole cycles instead: the held loads it covers only appear in a
 // running window.
 
 // rigLoadUop is a load whose effective address is its immediate.
@@ -192,8 +192,9 @@ func BenchmarkL1DMissRoundTrip(b *testing.B) {
 }
 
 // sleepRig returns a core on the L1-resident sleep kernel, run until every
-// scheduler list has reached its working capacity and every page the
-// kernel stores to has been copied out of the program's shared image.
+// waiter list and address bucket has reached its working capacity and every
+// page the kernel stores to has been copied out of the program's shared
+// image.
 func sleepRig() *Core {
 	c := New(testConfig(ModeNone), sleepKernel(false))
 	for i := 0; i < 20_000; i++ {
@@ -207,17 +208,18 @@ func sleepRig() *Core {
 // on fewer than every cycle.
 const sleepBlock = 64
 
-// TestSleepingLoadsAllocatesNothing gates the sleep list in steady state:
-// loads going to sleep behind an unknown-address store, and waking when it
+// TestSleepingLoadsAllocatesNothing gates the load mask in steady state:
+// loads held behind an unknown-address store, and released when it
 // resolves, allocate nothing.
 func TestSleepingLoadsAllocatesNothing(t *testing.T) {
 	c := sleepRig()
 	slept, woke := 0, 0
+	buf := make([]schedRef, 0, c.cfg.ROBSize)
 	allocs := testing.AllocsPerRun(50, func() {
 		for i := 0; i < sleepBlock; i++ {
-			before := len(c.sched.sleep)
+			before := len(heldLoads(c, buf))
 			c.Cycle()
-			if n := len(c.sched.sleep); n > before {
+			if n := len(heldLoads(c, buf)); n > before {
 				slept++
 			} else if n < before {
 				woke++
@@ -228,12 +230,12 @@ func TestSleepingLoadsAllocatesNothing(t *testing.T) {
 		t.Fatalf("%d sleeping-load cycles allocate %v times, want 0", sleepBlock, allocs)
 	}
 	if slept == 0 || woke == 0 {
-		t.Fatalf("loads fell asleep on %d cycles and woke on %d; the window does not exercise the sleep list", slept, woke)
+		t.Fatalf("loads were held on %d cycles and released on %d; the window does not exercise the load mask", slept, woke)
 	}
 }
 
 // BenchmarkSleepingLoadsCycles times sleepBlock steady-state cycles of a
-// window whose loads sleep and wake behind unknown-address stores;
+// window whose loads are held and released behind unknown-address stores;
 // allocs/op must read 0.
 func BenchmarkSleepingLoadsCycles(b *testing.B) {
 	c := sleepRig()

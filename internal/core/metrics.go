@@ -52,7 +52,7 @@ type coreProf struct {
 	schedBroadcasts uint64 // completion broadcasts with at least one waiter
 	schedWakeups    uint64 // waiter entries released by broadcasts (fan-out sum)
 	schedSelects    uint64 // issue-select invocations (≈ unwarped cycles)
-	schedQueueSum   uint64 // ready+parked entries observed per select
+	schedQueueSum   uint64 // ready, unissued uops (set ready bits) summed over selects
 	dynPoolHits     uint64 // DynInsts recycled from the pool
 	dynPoolNews     uint64 // DynInsts from the Go allocator
 
@@ -105,7 +105,7 @@ func regCoreMetrics() {
 		cm.schedWakeups = r.Counter("sched_wakeups_total", "waiter entries released by broadcasts (fan-out sum)")
 		cm.schedSelects = r.Counter("sched_selects_total", "issue-select invocations of the event scheduler")
 		cm.schedQueueEntries = r.Counter("sched_queue_entries_total",
-			"ready+parked entries observed across selects (divide by sched_selects_total for mean depth)")
+			"ready, unissued uops summed over selects (divide by sched_selects_total for mean depth)")
 		cm.dramHorizonSkips = r.Counter("dram_horizon_skips_total", "DRAM channel ticks skipped by the grant horizon")
 		cm.dramGrantScans = r.Counter("dram_grant_scans_total", "DRAM channel ticks that ran the full grant scan")
 		cm.mshrPoolHits = r.Counter("mshr_pool_hits_total", "MSHR allocations served from the recycle pool (all levels)")

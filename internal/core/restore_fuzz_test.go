@@ -3,9 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"runtime/metrics"
 	"testing"
 
+	"runaheadsim/internal/allocmeter"
 	"runaheadsim/internal/prog"
 	"runaheadsim/internal/snapshot"
 	"runaheadsim/internal/workload"
@@ -106,39 +106,24 @@ func hostileValues(tb testing.TB, payload []byte) []hostileValue {
 	}
 }
 
-// heapAllocs reads the bytes allocated on the heap so far.
-func heapAllocs() uint64 {
-	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(s)
-	return s[0].Value.Uint64()
-}
-
 // restoreAlloc restores payload (sealed in a machine container) into a
 // fresh core and returns the core, the error and the bytes allocated.
-func restoreAlloc(cfg Config, p *prog.Program, payload []byte) (*Core, error, uint64) {
-	before := heapAllocs()
-	c, err := RestoreCore(snapshot.Encode(MachineKind, payload), cfg, p)
-	return c, err, heapAllocs() - before
+func restoreAlloc(cfg Config, p *prog.Program, payload []byte) (c *Core, err error, alloc uint64) {
+	data := snapshot.Encode(MachineKind, payload)
+	alloc = allocmeter.Bytes(func() { c, err = RestoreCore(data, cfg, p) })
+	return c, err, alloc
 }
 
 // restoreAllocBound is what a restore of payload may allocate: what a fresh
-// core costs, a few times the payload for tables and copies, and slack. The
-// heap counter advances a whole span at a time, and a fuzzing worker
-// allocates beside the target, so the slack is a few MB: far below what
-// sizing a table by a hostile count would take.
+// core costs, a few times the payload for tables and copies, and slack far
+// below what sizing a table by a hostile count would take.
 func restoreAllocBound(newCost uint64, payload []byte) uint64 {
-	return newCost + 8*uint64(len(payload)) + 4<<20
+	return newCost + 8*uint64(len(payload)) + 1<<20
 }
 
 // newCoreAlloc measures the bytes New allocates for cfg and p.
 func newCoreAlloc(cfg Config, p *prog.Program) uint64 {
-	var most uint64
-	for i := 0; i < 2; i++ {
-		before := heapAllocs()
-		New(cfg, p)
-		most = max(most, heapAllocs()-before)
-	}
-	return most
+	return allocmeter.Bytes(func() { New(cfg, p) })
 }
 
 // TestRestoreCoreHostileCounts rewrites each count a machine restore sizes

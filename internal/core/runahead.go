@@ -261,7 +261,7 @@ func (c *Core) exitRunahead() {
 		c.ra.haveFurthestReach = true
 	}
 
-	// Flush everything speculative, including the scheduler's ready queue,
+	// Flush everything speculative, including the scheduler's bitmaps,
 	// waiter lists, and store-address index — nothing in them survives the
 	// wholesale restore.
 	for c.rob.size() > 0 {

@@ -197,7 +197,7 @@ func TestPredictedEAConservative(t *testing.T) {
 	if c.loadCanIssueScan(0, d) {
 		t.Fatal("scan scheduler issued a load with an unknowable address")
 	}
-	if ok, _ := c.loadCanIssueEvent(d); ok {
+	if c.loadCanIssueEvent(d) {
 		t.Fatal("event scheduler issued a load with an unknowable address")
 	}
 
@@ -257,13 +257,13 @@ func TestWatchdogSurvivesRunaheadEntry(t *testing.T) {
 	}
 }
 
-// sleepKernel keeps loads asleep behind unknown-address stores. Each
+// sleepKernel keeps loads held behind unknown-address stores. Each
 // iteration's store takes its address from a three-deep div chain and is
 // followed by up to a dozen independent L1-resident loads, which wait tens of
 // cycles for that address. A branch on a pseudo-random bit sits between the
-// loads and mispredicts about half the time, squashing the sleepers behind
+// loads and mispredicts about half the time, squashing the held loads behind
 // it. With gather set, a DRAM miss heads each iteration, so runahead enters
-// while loads sleep; without it the kernel stays L1-resident.
+// while loads are held; without it the kernel stays L1-resident.
 func sleepKernel(gather bool) *prog.Program {
 	b := prog.NewBuilder("sleep")
 	const slots = 1 << 14
@@ -300,13 +300,33 @@ func sleepKernel(gather bool) *prog.Program {
 	return b.MustBuild()
 }
 
+// heldLoads appends to dst the ready loads the next select holds back, read
+// from the scheduler's bitmaps: outside runahead, those past the oldest
+// in-window store with no address.
+func heldLoads(c *Core, dst []schedRef) []schedRef {
+	if c.ra.active {
+		return dst
+	}
+	s := &c.sched
+	n, head := len(c.rob.entries), c.rob.head
+	end := head + c.rob.count
+	for x := s.unknown.next(nil, head, end, end, n); x < end; x++ {
+		if p := x % n; s.ready.has(p) && s.loads.has(p) {
+			d := c.rob.entries[p]
+			dst = append(dst, schedRef{d: d, gen: d.gen})
+		}
+	}
+	return dst
+}
+
 // TestSleepingLoadsLockstep steps the event scheduler and the scan reference
 // side by side, cycle by cycle, on sleepKernel: the same uops must issue on
-// the same cycles, and the deep invariants (sleep list included) must hold
-// after every cycle. The kernel must actually exercise the sleep path —
-// loads asleep, sleepers squashed by a mispredicted branch, and (in the
-// runahead modes) runahead entered while loads sleep — or the test fails
-// rather than pass vacuously.
+// the same cycles, and the deep invariants (every scheduler bitmap checked
+// against the ROB) must hold after every cycle. The kernel must actually
+// exercise the load mask — loads held behind an unknown-address store, held
+// loads squashed by a mispredicted branch, and (in the runahead modes)
+// runahead entered over held loads — or the test fails rather than pass
+// vacuously.
 func TestSleepingLoadsLockstep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential simulation is slow")
@@ -322,9 +342,9 @@ func TestSleepingLoadsLockstep(t *testing.T) {
 		ev.SetEventSink(evRec, 0)
 		scan.SetEventSink(scanRec, 0)
 
-		var slept, squashed, entered int // cycles that covered each path
-		seen := 0                        // issues already compared
-		var prev []schedRef              // live sleepers at the end of the previous cycle
+		var held, squashed, entered int // cycles that covered each path
+		seen := 0                       // issues already compared
+		var prev []schedRef             // loads held at the end of the previous cycle
 		for i := 0; i < 12_000; i++ {
 			wasActive := ev.ra.active
 			ev.Cycle()
@@ -343,9 +363,10 @@ func TestSleepingLoadsLockstep(t *testing.T) {
 			if err := ev.CheckInvariants(true); err != nil {
 				t.Fatalf("%v cycle %d: %v\n%s", mode, ev.Now(), err, ev.DebugDump())
 			}
-			// A sleeper from last cycle that is gone now was squashed: runahead
-			// was not active then (it would have woken every sleeper), so no
-			// runahead exit could have flushed it.
+			// A load held at the end of last cycle that is gone now was
+			// squashed: runahead was not active then (it holds nothing), so
+			// no runahead exit could have flushed it, and an unissued load
+			// cannot commit within a cycle.
 			for _, r := range prev {
 				if r.d.gen != r.gen || r.d.Squashed {
 					squashed++
@@ -355,19 +376,13 @@ func TestSleepingLoadsLockstep(t *testing.T) {
 			if len(prev) > 0 && !wasActive && ev.ra.active {
 				entered++
 			}
-			prev = prev[:0]
-			for _, r := range ev.sched.sleep {
-				if !r.stale() {
-					prev = append(prev, r)
-				}
-			}
-			if len(prev) > 0 {
-				slept++
+			if prev = heldLoads(ev, prev[:0]); len(prev) > 0 {
+				held++
 			}
 		}
-		t.Logf("%v: %d cycles end with loads asleep, %d squash sleepers, %d enter runahead over sleepers", mode, slept, squashed, entered)
-		if slept == 0 || squashed == 0 || (mode != ModeNone && entered == 0) {
-			t.Fatalf("%v: sleep path not covered", mode)
+		t.Logf("%v: %d cycles end with loads held, %d squash held loads, %d enter runahead over held loads", mode, held, squashed, entered)
+		if held == 0 || squashed == 0 || (mode != ModeNone && entered == 0) {
+			t.Fatalf("%v: load mask not covered", mode)
 		}
 		ev.SetEventSink(nil, 0)
 		scan.SetEventSink(nil, 0)
@@ -378,25 +393,64 @@ func TestSleepingLoadsLockstep(t *testing.T) {
 	}
 }
 
-// TestSleepListKeepsQueueDepth pins the queue-depth profile counter on
-// sleepKernel to the values the scheduler read before loads could sleep,
-// when every blocked load sat on the parked list. Sleepers count as queued,
-// and squashed sleepers must leave the count exactly when the select loop
-// would have popped and dropped them from the parked list.
-func TestSleepListKeepsQueueDepth(t *testing.T) {
-	for _, tc := range []struct {
-		mode     Mode
-		queueSum uint64
-	}{
-		{ModeNone, 258486},
-		{ModeTraditional, 510066},
-		{ModeBufferCC, 428657},
-	} {
-		c := New(testConfig(tc.mode), sleepKernel(true))
-		c.Run(20_000)
-		if c.prof.schedQueueSum != tc.queueSum {
-			t.Errorf("%v: queued entries summed over selects = %d, want %d", tc.mode, c.prof.schedQueueSum, tc.queueSum)
+// readyRecount counts, from the ROB alone, the renamed, unissued uops whose
+// sources are all ready.
+func readyRecount(c *Core) int {
+	n := 0
+	for i := 0; i < c.rob.size(); i++ {
+		d := c.rob.at(i)
+		if d.Renamed && !d.Issued && !d.Executed && c.srcReady(d.PSrc1) && c.srcReady(d.PSrc2) {
+			n++
 		}
+	}
+	return n
+}
+
+// selectRecount is a trace sink that recounts the ROB as the cycle's select
+// saw it. Nothing changes between the start of the select and its first
+// issue, and a select that issues nothing changes nothing before rename
+// dispatches its first uop (traced before the uop is marked renamed). So the
+// first Issue or Dispatch event of a cycle sees the select's ROB, less the
+// issuing uop for an Issue; a cycle with neither ends with that ROB.
+type selectRecount struct {
+	c     *Core
+	seen  bool
+	count int
+}
+
+func (r *selectRecount) Emit(ev *trace.Event) {
+	if r.seen || (ev.Kind != trace.Issue && ev.Kind != trace.Dispatch) {
+		return
+	}
+	r.seen = true
+	r.count = readyRecount(r.c)
+	if ev.Kind == trace.Issue {
+		r.count++
+	}
+}
+
+func (r *selectRecount) Close() error { return nil }
+
+// TestQueueDepthCountsReadyUops pins the queue-depth profile counter to its
+// definition on sleepKernel: every select adds exactly the number of ready,
+// unissued uops in the ROB — held loads included, squashed uops never.
+func TestQueueDepthCountsReadyUops(t *testing.T) {
+	for _, mode := range []Mode{ModeNone, ModeTraditional, ModeBufferCC} {
+		c := New(testConfig(mode), sleepKernel(true))
+		r := &selectRecount{c: c}
+		c.SetEventSink(r, 0)
+		for c.st.Committed < 20_000 {
+			before := c.prof.schedQueueSum
+			r.seen = false
+			c.Cycle()
+			if !r.seen {
+				r.count = readyRecount(c)
+			}
+			if got := c.prof.schedQueueSum - before; got != uint64(r.count) {
+				t.Fatalf("%v cycle %d: queue depth grew by %d, but the ROB holds %d ready, unissued uops", mode, c.now, got, r.count)
+			}
+		}
+		t.Logf("%v: queued entries summed over selects = %d", mode, c.prof.schedQueueSum)
 	}
 }
 

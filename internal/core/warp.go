@@ -25,11 +25,11 @@ import (
 // commit possible, fetch blocked by a stable condition), and (b) the warp
 // target never jumps past any event or timer. For select specifically:
 // wakeup broadcasts run before issueStage (h.Tick and the event wheel fire
-// first), so cycleIssued == 0 means every ready-queue entry was evaluated and
-// deferred this cycle for a reason frozen until the next event — with zero
-// issues the port budget was untouched, leaving only disambiguation and
-// source state, which only events change. The same holds for the ROB-scan
-// scheduler. cycleRenamed == 0 plus the front-end timers pins rename, and
+// first), so cycleIssued == 0 means every ready uop was evaluated (or held
+// behind an address-less store) and skipped this cycle for a reason frozen
+// until the next event — with zero issues the port budget was untouched,
+// leaving only disambiguation and source state, which only events change.
+// The same holds for the ROB-scan scheduler. cycleRenamed == 0 plus the front-end timers pins rename, and
 // fetchInert pins fetch (a blocked fetch that still calls h.Fetch every cycle
 // — MSHR-full retry — mutates hierarchy counters and is deliberately NOT
 // inert).

@@ -3,10 +3,10 @@ package prog
 import (
 	"bytes"
 	"encoding/binary"
-	"runtime/metrics"
 	"strings"
 	"testing"
 
+	"runaheadsim/internal/allocmeter"
 	"runaheadsim/internal/snapshot"
 )
 
@@ -18,20 +18,11 @@ func memHeader(n int) []byte {
 	return w.Bytes()
 }
 
-// heapAllocs reads the bytes allocated on the heap so far, without the
-// stop-the-world pause of runtime.ReadMemStats.
-func heapAllocs() uint64 {
-	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(s)
-	return s[0].Value.Uint64()
-}
-
 // restoreAlloc restores data into a fresh image and returns the error and
 // the bytes the restore allocated.
-func restoreAlloc(data []byte) (error, uint64) {
-	before := heapAllocs()
-	err := NewMemory().RestoreFrom(snapshot.NewReader(data))
-	return err, heapAllocs() - before
+func restoreAlloc(data []byte) (err error, alloc uint64) {
+	alloc = allocmeter.Bytes(func() { err = NewMemory().RestoreFrom(snapshot.NewReader(data)) })
+	return err, alloc
 }
 
 // restoreAllocBound is what a restore of len(data) bytes may allocate: one

@@ -375,7 +375,7 @@ func (l chaseList) word(addr uint64) int64 {
 
 // mcfKernel models mcf's mix: a short-chain independent gather (arc-array
 // dereferencing — the part the runahead buffer thrives on) plus a serial
-// pointer chase every fourth iteration (node-list walking — dependent
+// pointer chase every eighth iteration (node-list walking — dependent
 // misses, the part Figure 2 classifies as having off-chip source data).
 func mcfKernel(name string, footprint uint64, chainALU, fillerOps int) *prog.Program {
 	b := prog.NewBuilder(name)

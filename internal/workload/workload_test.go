@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"runaheadsim/internal/core"
@@ -239,6 +241,9 @@ func TestEquivalenceSoak(t *testing.T) {
 	}
 }
 
+// badNameLists are benchmark lists ParseNames must refuse.
+var badNameLists = []string{"nosuch", "mcf,,lbm", "mcf,", ",mcf", "mcf, MCF"}
+
 func TestParseNames(t *testing.T) {
 	got, err := ParseNames(" mcf, lbm ,mcf")
 	if err != nil || len(got) != 3 || got[0] != "mcf" || got[1] != "lbm" || got[2] != "mcf" {
@@ -247,9 +252,32 @@ func TestParseNames(t *testing.T) {
 	if got, err := ParseNames(""); got != nil || err != nil {
 		t.Fatalf("empty spec = %q, %v; want nil, nil", got, err)
 	}
-	for _, bad := range []string{"nosuch", "mcf,,lbm", "mcf,", ",mcf", "mcf, MCF"} {
+	for _, bad := range badNameLists {
 		if _, err := ParseNames(bad); err == nil {
 			t.Errorf("ParseNames(%q) accepted a bad list", bad)
 		}
 	}
+}
+
+// FuzzParseNames: any string parses with an error or into names SpecOf
+// knows, which parse back unchanged once joined with commas.
+func FuzzParseNames(f *testing.F) {
+	for _, spec := range append([]string{" mcf, lbm ,mcf", ""}, badNameLists...) {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		names, err := ParseNames(spec)
+		if err != nil {
+			return
+		}
+		for _, name := range names {
+			if _, ok := SpecOf(name); !ok {
+				t.Fatalf("ParseNames(%q) returned unknown benchmark %q", spec, name)
+			}
+		}
+		again, err := ParseNames(strings.Join(names, ","))
+		if err != nil || !slices.Equal(again, names) {
+			t.Fatalf("ParseNames(%q) = %q, but the joined list parses to %q, %v", spec, names, again, err)
+		}
+	})
 }
