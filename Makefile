@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test vet lint check bench-go sweep report examples telemetry-smoke clean
+.PHONY: test vet lint check bench-go sweep report examples flight-trace-smoke clean
 
 test:
 	go test ./...
@@ -25,12 +25,11 @@ lint:
 check:
 	go test -tags simcheck ./...
 
-# Live-introspection smoke: the -tags nometrics build, every telemetry
-# endpoint served during a real parallel sampled sweep (including an SSE
-# progress frame), and a forced watchdog trip producing a non-empty
-# flight-recorder dump. See DESIGN.md §11.
-telemetry-smoke:
-	sh ./scripts/telemetry_smoke.sh
+# Crash and trace smoke: a forced watchdog trip producing a non-empty
+# flight-recorder dump, and parseable chrome and jsonl pipeline traces. See
+# DESIGN.md §11.
+flight-trace-smoke:
+	sh ./scripts/flight_trace_smoke.sh
 
 # One scaled-down benchmark per paper table/figure, plus ablations.
 bench-go:

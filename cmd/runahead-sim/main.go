@@ -20,7 +20,6 @@ import (
 	"runaheadsim/internal/prog"
 	"runaheadsim/internal/simcheck"
 	"runaheadsim/internal/stats"
-	"runaheadsim/internal/telemetry"
 	"runaheadsim/internal/trace"
 	"runaheadsim/internal/workload"
 )
@@ -50,7 +49,6 @@ func main() {
 		pipe   = flag.Bool("pipeline", false, "print the Figure 6 pipeline diagram and exit")
 		disasm = flag.Bool("disasm", false, "print the benchmark's program listing and exit")
 		showEn = flag.Bool("energy", false, "print the energy breakdown by component")
-		tele   = flag.String("telemetry-addr", "", "serve /metrics, /progress, /healthz and pprof on this address (e.g. 127.0.0.1:8080)")
 		wdog   = flag.Int64("watchdog", 0, "override the deadlock watchdog: no-progress cycle budget (<0 disables, 0 = default)")
 		fdump  = flag.String("flight-dump", ".", "directory for flight-recorder crash dumps (empty disables)")
 	)
@@ -65,18 +63,6 @@ func main() {
 			os.Exit(2)
 		}
 	}()
-
-	var tracker *telemetry.Tracker
-	if *tele != "" {
-		tracker = telemetry.NewTracker()
-		srv, err := telemetry.Start(*tele, nil, tracker)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics /progress /healthz /debug/pprof/\n", srv.Addr())
-	}
 
 	if *list {
 		for _, n := range runaheadsim.Benchmarks() {
@@ -135,9 +121,6 @@ func main() {
 		Check:            *check,
 		WatchdogCycles:   *wdog,
 		FlightDumpDir:    *fdump,
-	}
-	if tracker != nil {
-		rcfg.Monitor = tracker
 	}
 	res, err := runaheadsim.Run(rcfg)
 	if err != nil {

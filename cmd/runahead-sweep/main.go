@@ -35,7 +35,6 @@ import (
 	"sync"
 
 	"runaheadsim/internal/harness"
-	"runaheadsim/internal/telemetry"
 	"runaheadsim/internal/workload"
 )
 
@@ -64,7 +63,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		sBBV      = fs.Int("bbv-windows", 0, "BBV profiling windows in -sample-mode=phase (0 = 32)")
 		cores     = fs.Int("cores", 1, "multi-programmed mode: cores sharing one LLC+DRAM (2-8; 1 = normal single-core sweep)")
 		mix       = fs.String("mix", "", "multi-programmed mode: comma-separated kernel mix, one per core (empty = default memory-bound rotation)")
-		tele      = fs.String("telemetry-addr", "", "serve /metrics, /progress (live per-worker sweep state), /healthz and pprof on this address")
 		fdump     = fs.String("flight-dump", ".", "directory for flight-recorder crash dumps (empty disables)")
 	)
 	if err := fs.Parse(argv); err != nil {
@@ -84,18 +82,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var tracker *telemetry.Tracker
-	if *tele != "" {
-		tracker = telemetry.NewTracker()
-		srv, err := telemetry.Start(*tele, nil, tracker)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "telemetry: http://%s/metrics /progress /healthz /debug/pprof/\n", srv.Addr())
-	}
-
 	var w io.Writer = stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -108,9 +94,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := harness.Options{MeasureUops: *uops, WarmupUops: *warmup, FlightDumpDir: *fdump, Benchmarks: benchSet}
-	if tracker != nil {
-		opts.Monitor = tracker
-	}
 	if !*quiet {
 		// Prewarm workers report concurrently, and stderr need not be safe
 		// for concurrent writes.
@@ -149,9 +132,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			e.Build(r)
 		}
 	})
-	if tracker != nil {
-		tracker.SetTotalRuns(len(plan))
-	}
 	runner.Prewarm(plan, *workers)
 
 	// Every run is memoized by now, so this render is deterministic and

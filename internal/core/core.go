@@ -6,7 +6,6 @@ import (
 	"runaheadsim/internal/bpred"
 	"runaheadsim/internal/isa"
 	"runaheadsim/internal/memsys"
-	"runaheadsim/internal/metrics"
 	"runaheadsim/internal/prog"
 	"runaheadsim/internal/trace"
 )
@@ -240,9 +239,6 @@ func newCore(cfg Config, p *prog.Program, mem *prog.Memory, h *memsys.Hierarchy,
 		c.flightIn = flightSampleEvery
 	}
 	c.installMemHooks()
-	if metrics.Enabled {
-		regCoreMetrics() // instruments exist before the first warp observes one
-	}
 	h.SetSink(req, (*memSink)(c))
 	return c
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"runaheadsim/internal/metrics"
-)
+import "runaheadsim/internal/metrics"
 
 // Self-profiling: the simulator measuring itself (not the simulated machine).
 //
@@ -15,10 +11,6 @@ import (
 // boundaries. That keeps the per-cycle cost of metrics at a handful of plain
 // increments — the same discipline Stats uses — while the registry still sees
 // process-wide totals across every core a sweep runs.
-//
-// The one exception is the warp-jump histogram: warps are orders of magnitude
-// rarer than cycles (each one replaces at least two), so Observe goes straight
-// to the registry.
 
 // warpVeto classifies why maybeWarp declined to fast-forward at the end of a
 // cycle. The veto mix tells you what the warp is paying for on a workload:
@@ -63,20 +55,17 @@ type coreProf struct {
 		warps, warpedCycles, now, committed                        uint64
 		dramSkips, dramScans                                       uint64
 		mshrHits, mshrNews                                         uint64
-		flightDropped                                              uint64
 	}
 }
 
-// cm caches the registry instruments; registered once per process on the
-// first Core construction. All fields are nil under the nometrics build tag
-// (and metrics methods are nil-safe besides).
-var cm struct {
-	once sync.Once
+// cm holds the registry counters publishMetrics flushes into, registered in
+// metrics.Default when the package loads.
+var cm = registerCoreMetrics(metrics.Default)
 
+type coreMetrics struct {
 	cycles, instructions *metrics.Counter
 
 	warps, warpedCycles *metrics.Counter
-	warpSkip            *metrics.Histogram
 	veto                [nWarpVetoes]*metrics.Counter
 
 	schedBroadcasts, schedWakeups   *metrics.Counter
@@ -85,35 +74,29 @@ var cm struct {
 	dramHorizonSkips, dramGrantScans *metrics.Counter
 	mshrPoolHits, mshrPoolNews       *metrics.Counter
 	dynPoolHits, dynPoolNews         *metrics.Counter
-
-	flightDropped *metrics.Counter
 }
 
-func regCoreMetrics() {
-	cm.once.Do(func() {
-		r := metrics.Default
-		cm.cycles = r.Counter("sim_cycles_total", "simulated cycles executed (all cores, including warped spans)")
-		cm.instructions = r.Counter("sim_instructions_total", "instructions committed on the correct path (all cores)")
-		cm.warps = r.Counter("core_warp_jumps_total", "clock-warp fast-forwards taken")
-		cm.warpedCycles = r.Counter("core_warp_skipped_cycles_total", "simulated cycles skipped by clock warps")
-		cm.warpSkip = r.Histogram("core_warp_skip_cycles", "clock-warp jump size distribution, in skipped cycles")
-		for v := warpVeto(0); v < nWarpVetoes; v++ {
-			cm.veto[v] = r.Counter("core_warp_veto_"+warpVetoNames[v]+"_total",
-				"cycles the quiescence gate vetoed a warp: "+warpVetoNames[v])
-		}
-		cm.schedBroadcasts = r.Counter("sched_broadcasts_total", "register-ready broadcasts delivered to at least one waiter")
-		cm.schedWakeups = r.Counter("sched_wakeups_total", "waiter entries released by broadcasts (fan-out sum)")
-		cm.schedSelects = r.Counter("sched_selects_total", "issue-select invocations of the event scheduler")
-		cm.schedQueueEntries = r.Counter("sched_queue_entries_total",
-			"ready, unissued uops summed over selects (divide by sched_selects_total for mean depth)")
-		cm.dramHorizonSkips = r.Counter("dram_horizon_skips_total", "DRAM channel ticks skipped by the grant horizon")
-		cm.dramGrantScans = r.Counter("dram_grant_scans_total", "DRAM channel ticks that ran the full grant scan")
-		cm.mshrPoolHits = r.Counter("mshr_pool_hits_total", "MSHR allocations served from the recycle pool (all levels)")
-		cm.mshrPoolNews = r.Counter("mshr_pool_news_total", "MSHR allocations that hit the Go allocator (all levels)")
-		cm.dynPoolHits = r.Counter("core_dyn_pool_hits_total", "DynInst allocations served from the recycle pool")
-		cm.dynPoolNews = r.Counter("core_dyn_pool_news_total", "DynInst allocations that hit the Go allocator")
-		cm.flightDropped = r.Counter("flight_overwritten_events_total", "flight-recorder events overwritten by ring wraparound")
-	})
+func registerCoreMetrics(r *metrics.Registry) (m coreMetrics) {
+	m.cycles = r.Counter("sim_cycles_total", "simulated cycles executed (all cores, including warped spans)")
+	m.instructions = r.Counter("sim_instructions_total", "instructions committed on the correct path (all cores)")
+	m.warps = r.Counter("core_warp_jumps_total", "clock-warp fast-forwards taken")
+	m.warpedCycles = r.Counter("core_warp_skipped_cycles_total", "simulated cycles skipped by clock warps")
+	for v := warpVeto(0); v < nWarpVetoes; v++ {
+		m.veto[v] = r.Counter("core_warp_veto_"+warpVetoNames[v]+"_total",
+			"cycles the quiescence gate vetoed a warp: "+warpVetoNames[v])
+	}
+	m.schedBroadcasts = r.Counter("sched_broadcasts_total", "register-ready broadcasts delivered to at least one waiter")
+	m.schedWakeups = r.Counter("sched_wakeups_total", "waiter entries released by broadcasts (fan-out sum)")
+	m.schedSelects = r.Counter("sched_selects_total", "issue-select invocations of the event scheduler")
+	m.schedQueueEntries = r.Counter("sched_queue_entries_total",
+		"ready, unissued uops summed over selects (divide by sched_selects_total for mean depth)")
+	m.dramHorizonSkips = r.Counter("dram_horizon_skips_total", "DRAM channel ticks skipped by the grant horizon")
+	m.dramGrantScans = r.Counter("dram_grant_scans_total", "DRAM channel ticks that ran the full grant scan")
+	m.mshrPoolHits = r.Counter("mshr_pool_hits_total", "MSHR allocations served from the recycle pool (all levels)")
+	m.mshrPoolNews = r.Counter("mshr_pool_news_total", "MSHR allocations that hit the Go allocator (all levels)")
+	m.dynPoolHits = r.Counter("core_dyn_pool_hits_total", "DynInst allocations served from the recycle pool")
+	m.dynPoolNews = r.Counter("core_dyn_pool_news_total", "DynInst allocations that hit the Go allocator")
+	return m
 }
 
 // pubDelta adds cur-prev to ctr and advances prev. Counters here are
@@ -134,10 +117,6 @@ func pubDelta(ctr *metrics.Counter, cur uint64, prev *uint64) {
 //
 //simlint:hotpath
 func (c *Core) publishMetrics() {
-	if !metrics.Enabled {
-		return
-	}
-	regCoreMetrics()
 	p := &c.prof.prev
 
 	pubDelta(cm.cycles, uint64(c.now), &p.now)
@@ -165,8 +144,4 @@ func (c *Core) publishMetrics() {
 
 	pubDelta(cm.dynPoolHits, c.prof.dynPoolHits, &p.dynPoolHits)
 	pubDelta(cm.dynPoolNews, c.prof.dynPoolNews, &p.dynPoolNews)
-
-	if c.flight != nil {
-		pubDelta(cm.flightDropped, c.flight.Dropped(), &p.flightDropped)
-	}
 }

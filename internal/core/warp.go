@@ -1,9 +1,6 @@
 package core
 
-import (
-	"runaheadsim/internal/memsys"
-	"runaheadsim/internal/metrics"
-)
+import "runaheadsim/internal/memsys"
 
 // Clock warp: fast-forward across provably idle stretches.
 //
@@ -200,12 +197,6 @@ func (c *Core) ApplyWarp(t int64) {
 		head = c.rob.at(0)
 	}
 	skip := t - 1 - c.now
-	if metrics.Enabled {
-		// Warps are rare next to cycles (each replaces at least two), so the
-		// jump-size histogram observes the registry directly instead of going
-		// through the publishMetrics delta flush.
-		cm.warpSkip.Observe(skip)
-	}
 
 	// Bulk attribution: exactly what the per-cycle loop would have counted
 	// over cycles (c.now, t), evaluated once under the frozen state.

@@ -122,11 +122,9 @@ type Options struct {
 	// called from worker goroutines concurrently; it must be safe for that.
 	Progress func(bench, config string)
 
-	// Monitor, when non-nil, receives live progress from every simulated
-	// run: run boundaries, phase transitions, and periodic committed-uop
-	// updates (every progressChunk uops, via chunked Run calls that are
-	// bit-identical to one call). Calls arrive from worker goroutines
-	// concurrently. telemetry.Tracker implements this interface.
+	// Monitor, when non-nil, receives the run boundaries and phase
+	// transitions of every simulated run. Calls arrive from worker
+	// goroutines concurrently.
 	Monitor Monitor
 
 	// Sample, when non-nil, replaces each run's one detailed window (from

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"runaheadsim/internal/metrics"
 	"runaheadsim/internal/multicore"
 	"runaheadsim/internal/prog"
 	"runaheadsim/internal/simcheck"
@@ -143,8 +142,7 @@ func (r *Runner) runMix(mix []string, rc RunConfig) *MixResult {
 			checkers = append(checkers, simcheck.Attach(c, progs[i], simcheck.Options{}))
 		}
 	}
-	// Per-core progress units: the Monitor's interval slot carries the core
-	// index, so /progress shows one labeled row per core of the mix.
+	// Per-core units: the Monitor's interval slot carries the core index.
 	phase := func(name string, total uint64) {
 		if m == nil {
 			return
@@ -153,16 +151,11 @@ func (r *Runner) runMix(mix []string, rc RunConfig) *MixResult {
 			m.Phase(b, label, i, name, total)
 		}
 	}
-	var report func(int, uint64)
-	if m != nil {
-		report = func(i int, committed uint64) { m.Progress(mix[i], label, i, committed) }
-	}
-
 	phase("warmup", warmup)
-	cl.RunProgress(warmup, progressChunk, report)
+	cl.Run(warmup)
 	cl.ResetStats()
 	phase("measure", r.opts.MeasureUops)
-	sts := cl.RunProgress(r.opts.MeasureUops, progressChunk, report)
+	sts := cl.Run(r.opts.MeasureUops)
 	if m != nil {
 		for i, b := range mix {
 			m.Done(b, label, i)
@@ -207,7 +200,6 @@ func (r *Runner) runMix(mix []string, rc RunConfig) *MixResult {
 	res.WeightedSpeedup = ws
 	res.HmeanSlowdown = stats.Div(float64(len(mix)), invSum)
 	res.MaxSlowdown = maxSd
-	publishMixMetrics(res)
 	return res
 }
 
@@ -261,32 +253,4 @@ func MixTable(results []*MixResult) Table {
 			results[1].Config.Label(), results[0].Config.Label(), d))
 	}
 	return t
-}
-
-// Per-core mix gauges, registered once per (core, metric) name. The registry
-// has no label dimension, so the core ID is part of the instrument name —
-// "multicore_core0_ipc_shared_x1000" — which keeps Prometheus exposition
-// flat while still separating cores.
-var mixMetricsMu sync.Mutex
-
-func publishMixMetrics(res *MixResult) {
-	if !metrics.Enabled {
-		return
-	}
-	mixMetricsMu.Lock()
-	defer mixMetricsMu.Unlock()
-	r := metrics.Default
-	for _, c := range res.Cores {
-		id := strconv.Itoa(c.Core)
-		r.Gauge("multicore_core"+id+"_ipc_shared_x1000",
-			"core "+id+" multi-programmed IPC under the shared memory system, x1000").Set(int64(1000 * c.IPCShared))
-		r.Gauge("multicore_core"+id+"_slowdown_x1000",
-			"core "+id+" slowdown vs running alone (alone IPC / shared IPC), x1000").Set(int64(1000 * c.Slowdown))
-		r.Gauge("multicore_core"+id+"_finish_cycles",
-			"cycle at which core "+id+" reached the measurement quota").Set(c.FinishCycles)
-	}
-	r.Gauge("multicore_weighted_speedup_x1000",
-		"weighted speedup of the last multi-programmed mix, x1000").Set(int64(1000 * res.WeightedSpeedup))
-	r.Gauge("multicore_max_slowdown_x1000",
-		"max per-core slowdown of the last multi-programmed mix, x1000").Set(int64(1000 * res.MaxSlowdown))
 }

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"runaheadsim/internal/metrics"
 )
 
 func testMixOptions() Options {
@@ -88,15 +86,14 @@ func TestMixResultJSONKeyedByCore(t *testing.T) {
 	}
 }
 
-// recordingMonitor collects per-core progress units (the Monitor interval
-// slot carries the core index for mixes). The alone-IPC reference runs
+// recordingMonitor collects per-core units (the Monitor interval slot
+// carries the core index for mixes). The alone-IPC reference runs
 // report through the same Monitor with interval -1, so assertions filter on
 // the mix's "/mc" config label.
 type recordingMonitor struct {
-	mu        sync.Mutex
-	phases    map[string][]int // "bench|config" -> intervals seen
-	starts    []string
-	progressN int
+	mu     sync.Mutex
+	phases map[string][]int // "bench|config" -> intervals seen
+	starts []string
 }
 
 func (m *recordingMonitor) RunStart(bench, config string) {
@@ -114,16 +111,10 @@ func (m *recordingMonitor) Phase(bench, config string, interval int, phase strin
 	k := bench + "|" + config
 	m.phases[k] = append(m.phases[k], interval)
 }
-func (m *recordingMonitor) Progress(bench, config string, interval int, done uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.progressN++
-}
 func (m *recordingMonitor) Done(bench, config string, interval int) {}
 
 // TestMixMonitorPerCoreLabels: a mix run must report one unit per core to
-// the Monitor — bench = the member kernel, interval = the core index — so
-// telemetry /progress shows per-core rows.
+// the Monitor — bench = the member kernel, interval = the core index.
 func TestMixMonitorPerCoreLabels(t *testing.T) {
 	mon := &recordingMonitor{}
 	opts := testMixOptions()
@@ -151,31 +142,6 @@ func TestMixMonitorPerCoreLabels(t *testing.T) {
 			if iv != i {
 				t.Fatalf("%s reported interval %d, want core index %d", b, iv, i)
 			}
-		}
-	}
-	if mon.progressN == 0 {
-		t.Fatal("mix run never reported per-core progress")
-	}
-}
-
-// TestMixPublishesMetrics: a completed mix must land its per-core and
-// mix-level gauges in the default registry under names the telemetry
-// exporter serves (the registry has no labels, so the core ID is part of
-// the instrument name).
-func TestMixPublishesMetrics(t *testing.T) {
-	if !metrics.Enabled {
-		t.Skip("metrics compiled out")
-	}
-	res := NewRunner(testMixOptions()).RunMix([]string{"libquantum", "mcf"}, Buffer)
-	want := map[string]int64{
-		"multicore_weighted_speedup_x1000": int64(res.WeightedSpeedup * 1000),
-		"multicore_max_slowdown_x1000":     int64(res.MaxSlowdown * 1000),
-		"multicore_core0_finish_cycles":    res.Cores[0].FinishCycles,
-		"multicore_core1_finish_cycles":    res.Cores[1].FinishCycles,
-	}
-	for name, v := range want {
-		if got := metrics.Default.Gauge(name, "").Value(); got != v {
-			t.Errorf("%s = %d, want %d", name, got, v)
 		}
 	}
 }

@@ -181,9 +181,6 @@ func (r *Runner) profilePhases(bench, label string, p *prog.Program, full, measu
 		clear(counts)
 		in.Run(n)
 		vecs[i] = phases.Normalize(counts)
-		if m != nil {
-			m.Progress(bench, label, -1, in.Count())
-		}
 	}
 	// Capping the phase search at the even-mode interval count keeps phase
 	// mode's detailed cost at or below even mode's for the same settings.

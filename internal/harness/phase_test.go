@@ -108,10 +108,9 @@ type goalMonitor struct {
 	goals []uint64
 }
 
-func (g *goalMonitor) RunStart(_, _ string)                  {}
-func (g *goalMonitor) RunDone(_, _ string)                   {}
-func (g *goalMonitor) Progress(_, _ string, _ int, _ uint64) {}
-func (g *goalMonitor) Done(_, _ string, _ int)               {}
+func (g *goalMonitor) RunStart(_, _ string)    {}
+func (g *goalMonitor) RunDone(_, _ string)     {}
+func (g *goalMonitor) Done(_, _ string, _ int) {}
 func (g *goalMonitor) Phase(_, _ string, interval int, _ string, total uint64) {
 	if interval == -1 {
 		g.mu.Lock()
@@ -252,8 +251,8 @@ func TestCheckpointWalkOncePerBench(t *testing.T) {
 }
 
 // TestSampledProgressGoalNoWrap runs the sampled engine with a warmup far
-// larger than the first checkpoint offset and checks no telemetry goal
-// wrapped around uint64 (the /progress regression).
+// larger than the first checkpoint offset and checks no Monitor phase goal
+// wraps around uint64.
 func TestSampledProgressGoalNoWrap(t *testing.T) {
 	gm := &goalMonitor{}
 	opts := Options{MeasureUops: 20_000, WarmupUops: 4_000, Monitor: gm,
@@ -270,7 +269,7 @@ func TestSampledProgressGoalNoWrap(t *testing.T) {
 	}
 	for _, goal := range gm.goals {
 		if goal > math.MaxUint64/2 {
-			t.Errorf("telemetry phase goal wrapped: %d", goal)
+			t.Errorf("monitor phase goal wrapped: %d", goal)
 		}
 	}
 }

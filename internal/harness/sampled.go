@@ -372,9 +372,6 @@ func (w *ckWalk) run(p *prog.Program, cfg core.Config, sampled bool, m Monitor, 
 		if warm != nil {
 			ck.warm = warm.clone()
 		}
-		if m != nil && sampled {
-			m.Progress(bench, label, -1, in.Count())
-		}
 		close(w.ready[i])
 		taken++
 	}
@@ -568,12 +565,10 @@ func (r *Runner) runInterval(bench, label string, cfg core.Config, p *prog.Progr
 	if r.opts.Check || simcheck.TagEnabled {
 		chk = simcheck.AttachResumed(c, p, simcheck.Options{})
 	}
-	var report func(uint64)
 	if m != nil {
-		report = func(done uint64) { m.Progress(bench, label, iv, done) }
 		m.Phase(bench, label, iv, "warmup", ck.warmup)
 	}
-	chunkRun(c, ck.warmup, report)
+	c.Run(ck.warmup)
 	c.ResetStats()
 	if n := r.opts.TimelineInterval; n > 0 && !sampled {
 		samples := r.opts.TimelineSamples
@@ -586,7 +581,7 @@ func (r *Runner) runInterval(bench, label string, cfg core.Config, p *prog.Progr
 	if m != nil {
 		m.Phase(bench, label, iv, "measure", ck.measure)
 	}
-	ir.st = chunkRun(c, ck.measure, report)
+	ir.st = c.Run(ck.measure)
 	if chk != nil {
 		chk.Finish()
 	}

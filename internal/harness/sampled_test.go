@@ -277,10 +277,9 @@ type phaseLog struct {
 	phases []string
 }
 
-func (pl *phaseLog) RunStart(_, _ string)                  {}
-func (pl *phaseLog) RunDone(_, _ string)                   {}
-func (pl *phaseLog) Progress(_, _ string, _ int, _ uint64) {}
-func (pl *phaseLog) Done(_, _ string, _ int)               {}
+func (pl *phaseLog) RunStart(_, _ string)    {}
+func (pl *phaseLog) RunDone(_, _ string)     {}
+func (pl *phaseLog) Done(_, _ string, _ int) {}
 func (pl *phaseLog) Phase(_, _ string, interval int, phase string, _ uint64) {
 	pl.mu.Lock()
 	pl.phases = append(pl.phases, fmt.Sprintf("%d:%s", interval, phase))

@@ -158,19 +158,7 @@ func (cl *Cluster) maybeWarp() {
 // crossing. Cores that finish early keep executing (their memory traffic is
 // the contention under study) but their measurement stops at the crossing.
 // It finalizes and returns every core's statistics.
-func (cl *Cluster) Run(quota uint64) []*core.Stats { return cl.RunProgress(quota, 0, nil) }
-
-// RunProgress is Run with a live progress hook: report(i, committed) fires
-// for core i roughly every `every` committed uops (and once at its quota
-// crossing). Chunking an outer Run by calling it repeatedly with growing
-// quotas would mis-stamp finish cycles — the first crossing of the final
-// quota is the measurement — so progress reporting lives inside the loop.
-// The hook observes the run; simulated results are bit-identical to Run.
-func (cl *Cluster) RunProgress(quota, every uint64, report func(i int, committed uint64)) []*core.Stats {
-	next := make([]uint64, len(cl.cores))
-	for i := range next {
-		next[i] = cl.cores[i].Stats().Committed + every
-	}
+func (cl *Cluster) Run(quota uint64) []*core.Stats {
 	for i := range cl.finish {
 		if cl.cores[i].Stats().Committed >= quota && cl.finish[i] == 0 {
 			cl.finish[i] = cl.now - cl.statsZero
@@ -179,16 +167,8 @@ func (cl *Cluster) RunProgress(quota, every uint64, report func(i int, committed
 	for !cl.allFinished(quota) {
 		cl.Step()
 		for i, c := range cl.cores {
-			committed := c.Stats().Committed
-			if cl.finish[i] == 0 && committed >= quota {
+			if cl.finish[i] == 0 && c.Stats().Committed >= quota {
 				cl.finish[i] = cl.now - cl.statsZero
-				if report != nil {
-					report(i, committed)
-				}
-			}
-			if report != nil && every > 0 && committed >= next[i] {
-				next[i] = committed + every
-				report(i, committed)
 			}
 			c.WatchdogCheck()
 		}

@@ -20,30 +20,11 @@ package simcheck
 
 import (
 	"fmt"
-	"sync"
 
 	"runaheadsim/internal/core"
 	"runaheadsim/internal/isa"
-	"runaheadsim/internal/metrics"
 	"runaheadsim/internal/prog"
 )
-
-// Oracle telemetry: how much checking a process has done and whether any of
-// it failed. Published at Finish/Detach (never per commit) so an attached
-// checker's hot path stays the comparisons themselves.
-var scm struct {
-	once                sync.Once
-	checked, violations *metrics.Counter
-}
-
-func regMetrics() {
-	scm.once.Do(func() {
-		scm.checked = metrics.Default.Counter("simcheck_commits_checked_total",
-			"correct-path retirements compared against the architectural oracle")
-		scm.violations = metrics.Default.Counter("simcheck_violations_total",
-			"oracle divergences and invariant violations detected")
-	})
-}
 
 // Options tunes an attached Checker.
 type Options struct {
@@ -62,10 +43,9 @@ type Checker struct {
 	in   *prog.Interp
 	opts Options
 
-	commits   uint64
-	published uint64 // commits already flushed to the metrics registry
-	lastSeq   uint64
-	digest    uint64
+	commits uint64
+	lastSeq uint64
+	digest  uint64
 }
 
 // Attach hooks a Checker onto c, which must have been built from p and not
@@ -179,19 +159,6 @@ func (k *Checker) Finish() {
 		k.failf(nil, "committed memory diverged at %#x: core %d, oracle %d",
 			addr, k.c.Mem().Read64(addr), k.in.Mem.Read64(addr))
 	}
-	k.publish()
-}
-
-// publish flushes the checked-commit delta to the metrics registry.
-func (k *Checker) publish() {
-	if !metrics.Enabled {
-		return
-	}
-	regMetrics()
-	if d := k.commits - k.published; d != 0 {
-		scm.checked.Add(d)
-		k.published = k.commits
-	}
 }
 
 // failf reports a violation with full context: the offending uop (when the
@@ -199,15 +166,10 @@ func (k *Checker) publish() {
 // and the machine-state dump.
 func (k *Checker) failf(d *core.DynInst, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
-	if metrics.Enabled {
-		regMetrics()
-		scm.violations.Inc()
-	}
 	// Pin the violation into the flight recorder before reporting: Failf
 	// usually panics, and the recover site dumps the ring — which should end
 	// with the why, not just the last miss before it.
 	k.c.FlightMark("simcheck: " + msg)
-	k.publish()
 	uop := ""
 	if d != nil {
 		uop = fmt.Sprintf("\n  uop: seq=%d pc=%#x %v runahead=%v fromBuffer=%v", d.Seq, d.PC, d.U.Op, d.Runahead, d.FromBuffer)

@@ -6,16 +6,13 @@ import (
 	"go/types"
 )
 
-// LockDiscipline polices the concurrent observability layer — packages
-// internal/telemetry, internal/metrics, and internal/harness — where a
-// mutex guards hot shared state that simulation workers and HTTP handlers
-// touch concurrently:
+// LockDiscipline polices the packages where simulation workers share
+// mutex-guarded state — internal/metrics and internal/harness:
 //
 //   - Rule A (no slow or re-entrant work under a lock): while a mutex is
-//     held, no channel send, no call through a function value (an injected
-//     clock, a user callback, a stored closure — any of which can block or
-//     re-enter the lock), and no call involving an http.ResponseWriter or
-//     http.Flusher (a stalled client must never hold up the simulation).
+//     held, no channel send and no call through a function value (a user
+//     callback or a stored closure, either of which can block or re-enter
+//     the lock).
 //   - Rule B (atomic or locked, never both): a field passed by address to a
 //     sync/atomic function must not also be read or written plainly
 //     anywhere in the package.
@@ -27,14 +24,13 @@ import (
 // entered (they run later, usually after the unlock).
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "no channel sends, callbacks, or HTTP writes under a mutex; no atomic/plain mixing",
+	Doc:  "no channel sends or callbacks under a mutex; no atomic/plain mixing",
 	Run:  runLockDiscipline,
 }
 
 // lockDisciplinePkgs are the concurrency-bearing packages the analyzer
 // applies to.
 var lockDisciplinePkgs = []string{
-	"internal/telemetry",
 	"internal/metrics",
 	"internal/harness",
 }
@@ -189,8 +185,8 @@ func mutexOp(pass *Pass, expr ast.Expr) (key string, locks, ok bool) {
 	return "", false, false
 }
 
-// inspectUnderLock flags channel sends, dynamic calls, and HTTP writes in
-// node when at least one mutex is held. Function literals are not entered.
+// inspectUnderLock flags channel sends and dynamic calls in node when at
+// least one mutex is held. Function literals are not entered.
 func inspectUnderLock(pass *Pass, node ast.Node, held map[string]token.Pos) {
 	if len(held) == 0 {
 		return
@@ -223,28 +219,15 @@ func anyHeld(held map[string]token.Pos) string {
 }
 
 // checkCallUnderLock flags a single call made with a lock held when it is a
-// call through a function value or involves an http.ResponseWriter.
+// call through a function value.
 func checkCallUnderLock(pass *Pass, call *ast.CallExpr, heldName string) {
 	fun := ast.Unparen(call.Fun)
 	// Type conversions are not calls.
 	if tv, ok := pass.Info.Types[fun]; ok && tv.IsType() {
 		return
 	}
-	if fn := calleeFunc(pass, call); fn != nil {
-		// Static call: flag only HTTP-writer involvement (receiver or args).
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if isHTTPWriter(sig.Recv().Type()) {
-				pass.Reportf(call.Pos(), "ResponseWriter.%s while %s is held: a stalled client must not hold the lock — copy under lock, write after", fn.Name(), heldName)
-				return
-			}
-		}
-		for _, arg := range call.Args {
-			if t := pass.Info.TypeOf(arg); t != nil && isHTTPWriter(t) {
-				pass.Reportf(call.Pos(), "HTTP response write while %s is held: a stalled client must not hold the lock — copy under lock, write after", heldName)
-				return
-			}
-		}
-		return
+	if calleeFunc(pass, call) != nil {
+		return // static call
 	}
 	// Dynamic call: through a variable, field, or parameter of func type.
 	var obj types.Object
@@ -267,19 +250,6 @@ func checkCallUnderLock(pass *Pass, call *ast.CallExpr, heldName string) {
 			pass.Reportf(call.Pos(), "call through function value %q while %s is held: callbacks can block or re-enter the lock — call after unlocking", types.ExprString(fun), heldName)
 		}
 	}
-}
-
-// isHTTPWriter reports whether t is net/http.ResponseWriter or http.Flusher.
-func isHTTPWriter(t types.Type) bool {
-	n, ok := deref(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	pkg := n.Obj().Pkg()
-	if pkg == nil || pkg.Path() != "net/http" {
-		return false
-	}
-	return n.Obj().Name() == "ResponseWriter" || n.Obj().Name() == "Flusher"
 }
 
 // checkAtomicMixing implements Rule B: fields passed by address to

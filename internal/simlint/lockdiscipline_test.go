@@ -4,7 +4,7 @@ import "testing"
 
 func TestLockDiscipline(t *testing.T) {
 	fixture := map[string]map[string]string{
-		"fix/internal/telemetry": {"t.go": `package telemetry
+		"fix/internal/harness": {"t.go": `package harness
 
 import "sync"
 
@@ -37,7 +37,7 @@ func (t *T) good() {
 }
 `},
 	}
-	diags := runFixture(t, fixture, "fix/internal/telemetry", LockDiscipline)
+	diags := runFixture(t, fixture, "fix/internal/harness", LockDiscipline)
 	wantDiags(t, diags, []struct {
 		Line     int
 		Fragment string

@@ -9,11 +9,10 @@
 //     global math/rand source, and floating-point accumulation, all of
 //     which break run-to-run reproducibility or bit-exactness.
 //   - statshygiene: statistics objects (stats.Histogram, stats.Set,
-//     stats.Timeline) and telemetry instruments (metrics.Counter,
-//     metrics.Gauge, metrics.Histogram) must be created through their
-//     registering constructors, never bare struct literals or new() —
-//     constructors validate geometry and establish the registry the stable
-//     stats dump and the /metrics exporters rely on.
+//     stats.Timeline) and self-profiling counters (metrics.Counter) must be
+//     created through their registering constructors, never bare struct
+//     literals or new() — constructors validate geometry and establish the
+//     registry the stable stats dump and metrics.Registry.Export rely on.
 //   - tracehygiene: every trace-event emission site must sit behind the
 //     nil-tracer guard established by the observability layer, so disabled
 //     tracing costs nothing on the hot path.
@@ -34,11 +33,10 @@
 //   - hotpathalloc: functions annotated //simlint:hotpath are verified
 //     allocation-free by driving `go build -gcflags=-m` and cross-checking
 //     the compiler's escape diagnostics against the annotated body spans.
-//   - lockdiscipline: in internal/telemetry, internal/metrics, and
-//     internal/harness, no mutex may be held across a channel send, a call
-//     through a function value (user callback), or an http.ResponseWriter
-//     write; and a field accessed through sync/atomic must never also be
-//     read or written plainly.
+//   - lockdiscipline: in internal/metrics and internal/harness, no mutex
+//     may be held across a channel send or a call through a function value
+//     (user callback); and a field accessed through sync/atomic must never
+//     also be read or written plainly.
 //
 // A finding can be suppressed with a comment on the same or preceding line,
 // and the justification after "--" is mandatory:

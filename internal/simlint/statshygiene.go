@@ -22,15 +22,14 @@ import (
 // path); this rule pins where such bumps are ever allowed to live.
 var StatsHygiene = &Analyzer{
 	Name: "statshygiene",
-	Doc:  "stats objects and metrics instruments must be built with their registering constructors; core.Stats fields are written only by core",
+	Doc:  "stats objects and metrics counters must be built with their registering constructors; core.Stats fields are written only by core",
 	Run:  runStatsHygiene,
 }
 
 // constructorOnly lists, per owning package, the types that must come from a
 // registering constructor. The stats types validate their geometry there;
-// the metrics instruments are live registry entries — a bare metrics.Counter
-// is invisible to every exporter and violates the same ownership rule the
-// stats dump relies on.
+// a metrics.Counter is a live registry entry — a bare one is invisible to
+// Export and violates the same ownership rule the stats dump relies on.
 var constructorOnly = map[string]map[string]string{
 	"stats": {
 		"Histogram": "stats.NewHistogram",
@@ -39,9 +38,7 @@ var constructorOnly = map[string]map[string]string{
 		"Timeline":  "stats.NewTimeline",
 	},
 	"metrics": {
-		"Counter":   "Registry.Counter",
-		"Gauge":     "Registry.Gauge",
-		"Histogram": "Registry.Histogram",
+		"Counter": "Registry.Counter",
 	},
 }
 

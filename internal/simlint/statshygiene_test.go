@@ -90,21 +90,19 @@ func tally(c *core.Core) uint64 {
 	}
 }
 
-// TestStatsHygieneMetricsInstruments checks the telemetry extension of the
-// ownership rule: metrics instruments must come from a Registry (which is
-// what exporters walk), never from bare literals or zero values. The metrics
+// TestStatsHygieneMetricsInstruments checks the self-profiling extension of
+// the ownership rule: metrics counters must come from a Registry (which is
+// what Export walks), never from bare literals or zero values. The metrics
 // package itself is exempt like stats is.
 func TestStatsHygieneMetricsInstruments(t *testing.T) {
 	fixture := map[string]map[string]string{
 		"fix/internal/metrics": {"metrics.go": `package metrics
 
 type Counter struct{ v uint64 }
-type Gauge struct{ v int64 }
 
 type Registry struct{}
 
 func (r *Registry) Counter(name, help string) *Counter { return &Counter{} }
-func (r *Registry) Gauge(name, help string) *Gauge     { return &Gauge{} }
 `},
 		"fix/internal/core": {"core.go": `package core
 
@@ -116,8 +114,8 @@ type prof struct {
 }
 
 var bare = metrics.Counter{}
-var boxed = new(metrics.Gauge)
-var zero metrics.Gauge
+var boxed = new(metrics.Counter)
+var zero metrics.Counter
 var reg metrics.Registry
 var good = reg.Counter("x", "help")
 `},
@@ -129,8 +127,8 @@ var good = reg.Counter("x", "help")
 	}{
 		{6, "metrics.Counter value field"},
 		{10, "bare metrics.Counter literal"},
-		{11, "new(metrics.Gauge)"},
-		{12, "zero-value metrics.Gauge"},
+		{11, "new(metrics.Counter)"},
+		{12, "zero-value metrics.Counter"},
 	})
 	if d := runFixture(t, fixture, "fix/internal/metrics", StatsHygiene); len(d) != 0 {
 		t.Fatalf("metrics package should be exempt, got %v", d)

@@ -113,25 +113,9 @@ type Config struct {
 	WatchdogCycles int64
 	// FlightDumpDir, when non-empty, is where a dying run writes its flight
 	// recorder (the ring of recent trace events every core keeps) as JSONL
-	// before the panic propagates. See DESIGN.md "Live telemetry & flight
-	// recorder".
+	// before the panic propagates. See DESIGN.md "Self-profiling counters &
+	// flight recorder".
 	FlightDumpDir string
-	// Monitor, when non-nil, receives live phase/progress callbacks from
-	// the run (telemetry.Tracker satisfies this; so does any equivalent
-	// implementation). Must be safe for concurrent use.
-	Monitor Monitor
-}
-
-// Monitor receives live progress callbacks from simulated runs; it mirrors
-// the harness monitor interface so callers outside the module can plug in a
-// telemetry tracker (or their own implementation) without importing internal
-// packages. Implementations must be safe for concurrent use.
-type Monitor interface {
-	RunStart(bench, config string)
-	RunDone(bench, config string)
-	Phase(bench, config string, interval int, phase string, total uint64)
-	Progress(bench, config string, interval int, done uint64)
-	Done(bench, config string, interval int)
 }
 
 // Result summarizes a simulation.
@@ -211,9 +195,6 @@ func Run(cfg Config) (Result, error) {
 		Check:            cfg.Check,
 		WatchdogCycles:   cfg.WatchdogCycles,
 		FlightDumpDir:    cfg.FlightDumpDir,
-	}
-	if cfg.Monitor != nil {
-		opts.Monitor = cfg.Monitor
 	}
 	r := harness.NewRunner(opts)
 	rc := harness.RunConfig{Mode: cm, Enhancements: cfg.Enhancements, Prefetch: cfg.Prefetcher, DepTrack: cfg.DepTrack}
