@@ -293,16 +293,15 @@ func (r *RAS) Pop() uint64 {
 	return r.entries[r.top]
 }
 
-// Snapshot captures the full RAS state (it is small; the paper checkpoints
-// the RAS on runahead entry).
-func (r *RAS) Snapshot() RASSnapshot {
-	s := RASSnapshot{top: r.top, depth: r.depth}
-	s.entries = append(s.entries, r.entries...)
-	return s
+// Save captures the full RAS state into s, reusing s's storage (it is small;
+// the paper checkpoints the RAS on runahead entry).
+func (r *RAS) Save(s *RASSnapshot) {
+	s.entries = append(s.entries[:0], r.entries...)
+	s.top, s.depth = r.top, r.depth
 }
 
 // Restore rewinds the RAS to a snapshot.
-func (r *RAS) Restore(s RASSnapshot) {
+func (r *RAS) Restore(s *RASSnapshot) {
 	copy(r.entries, s.entries)
 	r.top, r.depth = s.top, s.depth
 }

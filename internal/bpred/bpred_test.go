@@ -160,11 +160,15 @@ func TestRASSnapshotRestore(t *testing.T) {
 	r := NewRAS(4)
 	r.Push(10)
 	r.Push(20)
-	snap := r.Snapshot()
+	var snap RASSnapshot
+	r.Push(77)
+	r.Save(&snap) // a stale checkpoint that the next Save overwrites in place
+	r.Pop()
+	r.Save(&snap)
 	r.Pop()
 	r.Push(99)
 	r.Push(98)
-	r.Restore(snap)
+	r.Restore(&snap)
 	if got := r.Pop(); got != 20 {
 		t.Fatalf("after restore Pop = %d, want 20", got)
 	}

@@ -28,7 +28,10 @@ func (c *Core) renameStage() {
 }
 
 // feedFromBuffer injects the dependence chain as a loop (Section 4.3):
-// renamed at up to the superscalar width, front end gated.
+// renamed at up to the superscalar width, front end gated. Each injected
+// uop points into the chain's storage rather than copying it.
+//
+//simlint:hotpath
 func (c *Core) feedFromBuffer() {
 	if c.now < c.ra.bufferReadyAt || c.ra.chain == nil || len(c.ra.chain.Uops) == 0 {
 		return
@@ -428,14 +431,19 @@ func (s *memSink) Done(t memsys.Token, o memsys.Outcome) {
 // loadMiss handles a load's DRAM-bound notice. The token can outlive the
 // load: gen gates every change to the slot, while the token's own Addr and
 // Seq keep the machine-level effects — miss age here, runahead exit in
-// loadDone — correct whatever became of the slot.
+// loadDone — correct whatever became of the slot. Only the runahead
+// enhancements read miss ages, so only a core with them records one.
+//
+//simlint:hotpath
 func (c *Core) loadMiss(t memsys.Token) {
-	line := t.Addr &^ 63
-	if _, seen := c.missAge[line]; !seen {
-		if len(c.missAge) > 8192 {
-			clear(c.missAge)
+	if c.cfg.Enhancements {
+		line := t.Addr &^ 63
+		if _, seen := c.missAge[line]; !seen {
+			if len(c.missAge) > 8192 {
+				clear(c.missAge)
+			}
+			c.missAge[line] = c.now
 		}
-		c.missAge[line] = c.now
 	}
 	d := c.slots[t.Slot]
 	if d.gen != t.Gen {

@@ -78,8 +78,9 @@ func (cc *chainCache) Lookup(pc uint64) (*Chain, bool) {
 	return nil, false
 }
 
-// Insert stores a freshly generated chain, replacing any existing chain for
-// the same PC (one chain per PC) or the LRU entry.
+// Insert copies a freshly generated chain into the cache, replacing any
+// existing chain for the same PC (one chain per PC) or the LRU entry. Each
+// entry owns its uop array, so the copy reuses the victim's storage.
 func (cc *chainCache) Insert(ch Chain) {
 	vi := 0
 	for i := range cc.entries {
@@ -96,7 +97,10 @@ func (cc *chainCache) Insert(ch Chain) {
 	}
 fill:
 	cc.stamp++
-	cc.entries[vi] = chainCacheEntry{valid: true, pc: ch.BlockingPC, chain: ch, lastUse: cc.stamp}
+	e := &cc.entries[vi]
+	e.valid, e.pc, e.lastUse = true, ch.BlockingPC, cc.stamp
+	e.chain.BlockingPC, e.chain.Signature = ch.BlockingPC, ch.Signature
+	e.chain.Uops = append(e.chain.Uops[:0], ch.Uops...)
 }
 
 // HitRate returns hits/(hits+misses).
@@ -118,13 +122,16 @@ func (ch *Chain) String() string {
 	return s
 }
 
-// CachedChains returns copies of the chains currently resident in the chain
-// cache, oldest first (for inspection tools).
+// CachedChains returns deep copies of the chains currently resident in the
+// chain cache, in entry order (for inspection tools): a later Insert rewrites
+// an entry's uop array, never a returned chain's.
 func (cc *chainCache) CachedChains() []Chain {
 	var out []Chain
 	for _, e := range cc.entries {
 		if e.valid {
-			out = append(out, e.chain)
+			ch := e.chain
+			ch.Uops = append([]ChainUop(nil), e.chain.Uops...)
+			out = append(out, ch)
 		}
 	}
 	return out

@@ -118,12 +118,25 @@ type Core struct {
 	racache *raCache
 	ccache  *chainCache
 
+	// Chain-generation storage, reused by every runahead entry: genChain
+	// holds the chain the core generated last (the interval's buffer
+	// contents unless the chain cache supplied them), inChain and srsl are
+	// Algorithm 1's membership vector and search list.
+	//simlint:nosnapshot rewritten at every runahead entry; snapshots are taken between intervals
+	genChain Chain
+	//simlint:nosnapshot per-walk scratch, cleared at the start of every chain generation
+	inChain []bool
+	//simlint:nosnapshot per-walk scratch, rewound at the start of every chain generation
+	srsl srslQueue
+
 	// missAge records, per line, the cycle at which the line's DRAM request
 	// was first issued. The first runahead enhancement ("issued to memory
 	// less than 250 instructions ago") reads it: a blocking load whose
 	// underlying request is old — typically because a previous runahead
 	// interval already prefetched it — is about to return, so entering
-	// runahead for it would buy almost nothing.
+	// runahead for it would buy almost nothing. Nothing else reads it, so
+	// only a core with Enhancements records it; the table of any other core
+	// stays empty.
 	missAge map[uint64]int64
 
 	// pcScore is the adaptive-hybrid policy's per-PC productivity table.
@@ -270,16 +283,25 @@ func (c *Core) CachedChains() []Chain { return c.ccache.CachedChains() }
 func (c *Core) newDyn() *DynInst {
 	n := len(c.dynPool)
 	if n == 0 {
-		c.prof.dynPoolNews++
-		d := &DynInst{slot: int32(len(c.slots))}
-		c.slots = append(c.slots, d)
-		return d
+		return c.growDyn()
 	}
 	c.prof.dynPoolHits++
 	d := c.dynPool[n-1]
 	c.dynPool[n-1] = nil
 	c.dynPool = c.dynPool[:n-1]
 	*d = DynInst{gen: d.gen, slot: d.slot}
+	return d
+}
+
+// growDyn is newDyn's pool miss: a fresh DynInst, listed in slots. It is
+// kept out of line so the hot paths newDyn inlines into carry no allocation;
+// a warm core does not reach it.
+//
+//go:noinline
+func (c *Core) growDyn() *DynInst {
+	c.prof.dynPoolNews++
+	d := &DynInst{slot: int32(len(c.slots))}
+	c.slots = append(c.slots, d)
 	return d
 }
 

@@ -428,8 +428,9 @@ func TestChainGenerationUnitWalk(t *testing.T) {
 	if match == nil {
 		t.Fatal("no other dynamic instance of the blocking PC in a tight loop")
 	}
-	ch, searches, truncated := c.generateChain(match)
-	if ch == nil || ch.Len() == 0 {
+	ch := &Chain{}
+	searches, truncated := c.generateChain(match, ch)
+	if ch.Len() == 0 {
 		t.Fatal("chain generation failed")
 	}
 	if truncated {

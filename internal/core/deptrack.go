@@ -22,7 +22,8 @@ import (
 type depTracker struct {
 	ring []depRec
 
-	// Per-runahead-interval state.
+	// Per-runahead-interval state; the maps are cleared, not remade, at
+	// every entry.
 	intervalStart  uint64 // first seq of the interval
 	intervalSigs   map[uint64]int
 	intervalUops   map[uint64]bool // seqs of uops on some miss chain
@@ -46,7 +47,11 @@ type depRec struct {
 const depRingSize = 1 << 13
 
 func newDepTracker() *depTracker {
-	return &depTracker{ring: make([]depRec, depRingSize)}
+	return &depTracker{
+		ring:         make([]depRec, depRingSize),
+		intervalSigs: map[uint64]int{},
+		intervalUops: map[uint64]bool{},
+	}
 }
 
 func (t *depTracker) record(c *Core, d *DynInst) {
@@ -130,8 +135,8 @@ func (t *depTracker) classifyDemandMiss(c *Core, d *DynInst) {
 // beginInterval starts per-interval bookkeeping at runahead entry.
 func (t *depTracker) beginInterval(c *Core) {
 	t.intervalStart = c.seq
-	t.intervalSigs = map[uint64]int{}
-	t.intervalUops = map[uint64]bool{}
+	clear(t.intervalSigs)
+	clear(t.intervalUops)
 	t.intervalActive = true
 }
 
@@ -182,6 +187,4 @@ func (t *depTracker) endInterval(c *Core) {
 	}
 	c.st.RAChainUops += uint64(len(t.intervalUops))
 	t.intervalActive = false
-	t.intervalSigs = nil
-	t.intervalUops = nil
 }

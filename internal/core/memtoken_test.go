@@ -46,8 +46,7 @@ func (c *Core) tickUntil(t testing.TB, done func() bool) {
 
 // conflictLines are nine lines 128KB apart: they share one L1D set and one
 // LLC set, so visiting them round-robin misses both levels every time (eight
-// ways each) while the miss-age table sees the same nine lines again and
-// again.
+// ways each).
 var conflictLines = func() []*isa.Uop {
 	us := make([]*isa.Uop, 9)
 	for i := range us {
@@ -160,9 +159,11 @@ func TestStaleTokenBlockingLoadStillExits(t *testing.T) {
 
 // TestStaleTokenEarlyMissRecordsAge covers a DRAM-bound notice that arrives
 // after its load left the machine: the slot is recycled, yet the line's miss
-// age (which the runahead enhancements read) must still be recorded.
+// age must still be recorded on a core whose runahead enhancements read it.
 func TestStaleTokenEarlyMissRecordsAge(t *testing.T) {
-	c := newRig()
+	cfg := testConfig(ModeTraditional)
+	cfg.Enhancements = true
+	c := New(cfg, simpleLoop())
 	const addr = 0x4000_0000
 	d := c.rigLoad(rigLoadUop(addr))
 	c.execLoad(d)
@@ -177,6 +178,21 @@ func TestStaleTokenEarlyMissRecordsAge(t *testing.T) {
 	}
 	if n.DRAMBound || n.Executed {
 		t.Fatalf("the late notice touched the slot's new occupant: %+v", *n)
+	}
+}
+
+// TestNoMissAgeWithoutEnhancements checks that a core whose runahead
+// enhancements are off, the only reader of miss ages, records none.
+func TestNoMissAgeWithoutEnhancements(t *testing.T) {
+	c := newRig()
+	for _, u := range conflictLines {
+		c.missRoundTrip(t, u)
+	}
+	if c.Stats().LoadRetries != 0 || c.h.Req(c.memReq).DRAMReadsDemand == 0 {
+		t.Fatal("the rig's loads did not miss to DRAM")
+	}
+	if n := len(c.missAge); n != 0 {
+		t.Fatalf("a core without Enhancements recorded %d miss ages, want 0", n)
 	}
 }
 

@@ -38,6 +38,8 @@ type raState struct {
 }
 
 // tryEnterRunahead is called when a DRAM-bound load d blocks the ROB head.
+//
+//simlint:hotpath
 func (c *Core) tryEnterRunahead(d *DynInst) {
 	if c.ra.lastAttempt == d.Seq && (c.ra.noRetry || c.now < c.ra.retryAt) {
 		return // already decided for this stall
@@ -120,7 +122,7 @@ func (c *Core) tryEnterRunahead(d *DynInst) {
 	c.ra.entryCycle = c.now
 	c.ra.checkpointPC = d.PC
 	c.ra.ghrSnapshot = c.bp.GHR()
-	c.ra.rasSnapshot = c.bp.RAS().Snapshot()
+	c.bp.RAS().Save(&c.ra.rasSnapshot)
 	c.ra.chain = chain
 	c.ra.bufferPos = 0
 	c.ra.bufferReadyAt = c.now + genCycles
@@ -159,6 +161,12 @@ func (c *Core) tryEnterRunahead(d *DynInst) {
 // decideBuffer implements the Figure 8 policy: probe the chain cache, else
 // generate a chain from the ROB; report whether the runahead buffer should
 // be used, with which chain, and how many cycles the decision costs.
+//
+// The chain returned is a cache entry's or the core's own genChain, and
+// buffer-fed uops point into it; both are rewritten only here, at entry,
+// after the last exit has flushed every such uop from the window.
+//
+//simlint:hotpath
 func (c *Core) decideBuffer(d *DynInst) (useBuffer bool, chain *Chain, genCycles int64) {
 	// One CAM search over the ROB's PC field to find another dynamic
 	// instance of the blocking load (Section 4.2).
@@ -176,25 +184,22 @@ func (c *Core) decideBuffer(d *DynInst) (useBuffer bool, chain *Chain, genCycles
 			c.st.ChainCacheHits++
 			// Figure 13 instrumentation: does the cached chain match what
 			// the ROB would generate right now? The comparison is free in
-			// hardware terms — undo its energy-event counts.
+			// hardware terms — undo its energy-event counts. The interval
+			// runs from the cache entry, so genChain is free to hold the
+			// comparison chain.
 			dest, sq, reads := c.st.DestCAMSearches, c.st.SQCAMSearches, c.st.ROBChainReads
-			fresh, _, _ := c.generateChain(match)
+			c.generateChain(match, &c.genChain)
 			c.st.DestCAMSearches, c.st.SQCAMSearches, c.st.ROBChainReads = dest, sq, reads
-			if fresh != nil {
-				c.st.ChainCacheChecked++
-				if fresh.Signature == cached.Signature {
-					c.st.ChainCacheExact++
-				}
+			c.st.ChainCacheChecked++
+			if c.genChain.Signature == cached.Signature {
+				c.st.ChainCacheExact++
 			}
 			return true, cached, 1
 		}
 		c.st.ChainCacheMisses++
 	}
-	fresh, searches, truncated := c.generateChain(match)
-	if fresh == nil {
-		c.st.ChainGenFailures++
-		return false, nil, 0
-	}
+	fresh := &c.genChain
+	searches, truncated := c.generateChain(match, fresh)
 	c.st.ChainsGenerated++
 	if truncated {
 		c.st.ChainsTooLong++
@@ -209,7 +214,7 @@ func (c *Core) decideBuffer(d *DynInst) (useBuffer bool, chain *Chain, genCycles
 	genCycles = 1 + (int64(searches)+1)/int64(c.cfg.RegSearchesPerCycle) + (int64(fresh.Len())+3)/4
 	c.st.ChainGenCycles += genCycles
 	if withCC {
-		c.ccache.Insert(*fresh)
+		c.ccache.Insert(*fresh) // copies into the entry's own storage
 	}
 	return true, fresh, genCycles
 }
@@ -229,6 +234,8 @@ func (c *Core) findOtherInstance(d *DynInst) *DynInst {
 // exitRunahead performs the wholesale restore: flush the pipeline, restore
 // the checkpointed register state, branch history and RAS, reset the
 // runahead cache, and refetch from the blocking load (which now hits).
+//
+//simlint:hotpath
 func (c *Core) exitRunahead() {
 	// Interval statistics.
 	// Per-requestor so a cluster core counts only its own interval misses,
@@ -245,11 +252,8 @@ func (c *Core) exitRunahead() {
 		// even compute a valid address (the chain poisons itself). Loops
 		// that execute real loads — hits, forwards or misses — are healthy
 		// regardless of how many new misses this particular interval found.
-		switch {
-		case c.ra.bufferMemLoads > 0:
+		if c.ra.bufferMemLoads > 0 || (c.ra.bufferRealLoads == 0 && c.ra.bufferForwards == 0) {
 			c.updateBufferScore(c.ra.blockingPC, c.ra.bufferMemLoads)
-		case c.ra.bufferRealLoads == 0 && c.ra.bufferForwards == 0:
-			c.updateBufferScore(c.ra.blockingPC, 0)
 		}
 	}
 	if c.cfg.Enhancements && !c.ra.usingBuffer {
@@ -264,8 +268,8 @@ func (c *Core) exitRunahead() {
 	// Flush everything speculative, including the scheduler's bitmaps,
 	// waiter lists, and store-address index — nothing in them survives the
 	// wholesale restore.
-	for c.rob.size() > 0 {
-		t := c.rob.popTail()
+	for i := c.rob.size() - 1; i >= 0; i-- {
+		t := c.rob.at(i)
 		t.Squashed = true
 		c.freeDyn(t)
 	}
@@ -288,7 +292,7 @@ func (c *Core) exitRunahead() {
 	}
 	c.racache.Reset()
 	c.bp.SetGHR(c.ra.ghrSnapshot)
-	c.bp.RAS().Restore(c.ra.rasSnapshot)
+	c.bp.RAS().Restore(&c.ra.rasSnapshot)
 	c.redirectFetch(c.ra.checkpointPC, 1)
 
 	c.ra.active = false
@@ -301,6 +305,13 @@ func (c *Core) exitRunahead() {
 	c.raRecoverUntil = c.now + 1 + int64(c.cfg.DecodeDepth)
 	c.traceRunaheadExit(misses)
 }
+
+// newPCScores makes the adaptive policy's table at its first update. It is
+// kept out of line so exitRunahead, which inlines updateBufferScore, carries
+// no allocation.
+//
+//go:noinline
+func newPCScores() map[uint64]uint8 { return make(map[uint64]uint8) }
 
 // bufferScore reads the adaptive policy's 2-bit confidence for a blocking
 // PC (starts at weakly-productive).
@@ -318,7 +329,7 @@ func (c *Core) bufferScore(pc uint64) uint8 {
 // that uncovered misses strengthen the PC, barren ones weaken it.
 func (c *Core) updateBufferScore(pc uint64, misses uint64) {
 	if c.pcScore == nil {
-		c.pcScore = make(map[uint64]uint8)
+		c.pcScore = newPCScores()
 	}
 	if len(c.pcScore) > 4096 {
 		clear(c.pcScore)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -135,6 +136,30 @@ func TestChainCacheOneChainPerPC(t *testing.T) {
 	cc.Insert(mkChain(0x200, 3))
 	if _, ok := cc.Lookup(0x100); !ok {
 		t.Fatal("first PC evicted despite free entry")
+	}
+}
+
+// TestCachedChainsAreDeepCopies checks that a chain CachedChains returned
+// stays as it was after a later Insert rewrites the same entry's storage.
+func TestCachedChainsAreDeepCopies(t *testing.T) {
+	cc := newChainCache(2)
+	cc.Insert(mkChain(0x100, 5))
+	got := cc.CachedChains()
+	if len(got) != 1 {
+		t.Fatalf("%d cached chains, want 1", len(got))
+	}
+	other := mkChain(0x100, 5)
+	for i := range other.Uops {
+		other.Uops[i].PC += 0x1000
+		other.Uops[i].U.Imm = -1
+	}
+	other.Signature = chainSignature(other.Uops)
+	cc.Insert(other)
+	if want := mkChain(0x100, 5); !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("returned chain changed after a later Insert:\n got %v\nwant %v", &got[0], &want)
+	}
+	if now, _ := cc.Lookup(0x100); now.Signature != other.Signature {
+		t.Fatal("the later Insert did not replace the entry's chain")
 	}
 }
 

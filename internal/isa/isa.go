@@ -214,18 +214,6 @@ type Uop struct {
 // HasDst reports whether the uop writes an architectural register.
 func (u *Uop) HasDst() bool { return u.Dst != RegNone }
 
-// SrcRegs appends the uop's valid source registers to dst and returns it.
-// Order is Src1 then Src2.
-func (u *Uop) SrcRegs(dst []Reg) []Reg {
-	if u.Src1 != RegNone {
-		dst = append(dst, u.Src1)
-	}
-	if u.Src2 != RegNone {
-		dst = append(dst, u.Src2)
-	}
-	return dst
-}
-
 // String implements fmt.Stringer.
 func (u *Uop) String() string {
 	switch {

@@ -90,22 +90,6 @@ func TestExecLatencyPositive(t *testing.T) {
 	}
 }
 
-func TestSrcRegs(t *testing.T) {
-	u := Uop{Op: ADD, Dst: 1, Src1: 2, Src2: 3}
-	got := u.SrcRegs(nil)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("SrcRegs = %v, want [r2 r3]", got)
-	}
-	u = Uop{Op: MOVI, Dst: 1, Src1: RegNone, Src2: RegNone}
-	if got := u.SrcRegs(nil); len(got) != 0 {
-		t.Fatalf("MOVI should have no sources, got %v", got)
-	}
-	u = Uop{Op: ADDI, Dst: 1, Src1: 5, Src2: RegNone}
-	if got := u.SrcRegs(nil); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("ADDI sources = %v, want [r5]", got)
-	}
-}
-
 func TestHasDst(t *testing.T) {
 	st := Uop{Op: ST, Dst: RegNone, Src1: 1, Src2: 2}
 	if st.HasDst() {

@@ -256,3 +256,48 @@ func TestRestoreTopologyMismatch(t *testing.T) {
 		t.Fatal("2-core snapshot restored into a 1-core cluster without error")
 	}
 }
+
+// TestClusterRunaheadAllocatesNothing gates a warm 2-core runahead-buffer
+// cluster: shared-LLC arbitration, both cores' runahead entries and exits,
+// and the cluster warp allocate nothing in steady state. Each measured
+// block must hold a runahead entry and an exit, and each core must enter
+// runahead over the blocks.
+func TestClusterRunaheadAllocatesNothing(t *testing.T) {
+	const block = 2048
+	cl := New(testConfig(core.ModeBuffer), []*prog.Program{workload.MustLoad("mcf"), workload.MustLoad("milc")})
+	for cl.Now() < 200_000 {
+		cl.Step()
+	}
+	totals := func() (entries, exits uint64) {
+		for _, c := range cl.Cores() {
+			entries += c.Stats().RunaheadIntervals
+			exits += c.Stats().RunaheadIntervalLens.Count
+		}
+		return entries, exits
+	}
+	var before [2]uint64
+	for i, c := range cl.Cores() {
+		before[i] = c.Stats().RunaheadIntervals
+	}
+	quiet := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		entries, exits := totals()
+		for i := 0; i < block; i++ {
+			cl.Step()
+		}
+		if e, x := totals(); e == entries || x == exits {
+			quiet++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d cluster cycles allocate %v times, want 0", block, allocs)
+	}
+	if quiet != 0 {
+		t.Fatalf("%d of 11 blocks lacked a runahead entry or exit", quiet)
+	}
+	for i, c := range cl.Cores() {
+		if c.Stats().RunaheadIntervals == before[i] {
+			t.Fatalf("core %d never entered runahead in the measured blocks", i)
+		}
+	}
+}

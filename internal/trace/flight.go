@@ -19,10 +19,9 @@ import (
 // Ring is single-goroutine, like the core that feeds it. It implements Sink
 // so anything that emits trace events can feed it.
 type Ring struct {
-	buf     []Event
-	next    int
-	full    bool
-	dropped uint64
+	buf  []Event
+	next int
+	full bool
 }
 
 // NewRing returns a flight recorder retaining the last capacity events.
@@ -35,9 +34,6 @@ func NewRing(capacity int) *Ring {
 
 // Record copies one event into the ring, overwriting the oldest when full.
 func (r *Ring) Record(ev *Event) {
-	if r.full {
-		r.dropped++
-	}
 	r.buf[r.next] = *ev
 	r.next++
 	if r.next == len(r.buf) {
@@ -59,9 +55,6 @@ func (r *Ring) Len() int {
 	}
 	return r.next
 }
-
-// Dropped returns how many events were overwritten by wraparound.
-func (r *Ring) Dropped() uint64 { return r.dropped }
 
 // Events returns the retained events, oldest first.
 func (r *Ring) Events() []Event {
