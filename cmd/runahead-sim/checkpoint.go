@@ -9,36 +9,32 @@ import (
 	"fmt"
 	"os"
 
-	"runaheadsim"
 	"runaheadsim/internal/core"
 	"runaheadsim/internal/harness"
+	"runaheadsim/internal/prog"
 	"runaheadsim/internal/simcheck"
 	"runaheadsim/internal/workload"
 )
 
-// coreConfig builds the core configuration for the CLI's mode flags through
-// the harness's RunConfig translation, with wdog as the -watchdog override.
-func coreConfig(mode string, pf, enh bool, pfKind string, wdog int64) (core.Config, error) {
-	m, err := runaheadsim.Mode(mode).CoreMode()
+// machine builds the named system's core configuration the way the harness
+// builds every run's, with wdog as the -watchdog override, and loads the
+// benchmark: the trace, checkpoint and restore paths build their core from
+// these.
+func machine(bench, system string, wdog int64) (core.Config, *prog.Program, error) {
+	rc, err := harness.SystemByName(system)
 	if err != nil {
-		return core.Config{}, err
+		return core.Config{}, nil, err
 	}
-	rc := harness.RunConfig{Mode: m, Enhancements: enh, Prefetch: pf, PFKind: pfKind}
-	return harness.Options{WatchdogCycles: wdog}.CoreConfig(rc), nil
+	p, err := workload.Load(bench)
+	return harness.Options{WatchdogCycles: wdog}.CoreConfig(rc), p, err
 }
 
 // checkpointRun simulates warmup+uops micro-ops, drains, and writes the
-// snapshot. Returns a process exit code.
-func checkpointRun(bench, mode string, pf, enh bool, pfKind string, uops, warmup uint64, outFile string, check bool) int {
-	cfg, err := coreConfig(mode, pf, enh, pfKind, 0)
+// snapshot.
+func checkpointRun(bench, system string, uops, warmup uint64, outFile string, check bool) error {
+	cfg, p, err := machine(bench, system, 0)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	p, err := workload.Load(bench)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
 	c := core.New(cfg, p)
 	var chk *simcheck.Checker
@@ -48,51 +44,40 @@ func checkpointRun(bench, mode string, pf, enh bool, pfKind string, uops, warmup
 	spec, _ := workload.SpecOf(bench)
 	st := c.Run(harness.Options{WarmupUops: warmup}.Warmup(spec.Class) + uops)
 	if err := c.Drain(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
 	if chk != nil {
 		chk.Finish()
 	}
 	data, err := c.Snapshot()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
 	if err := os.WriteFile(outFile, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
 	fmt.Printf("checkpoint          %s (%d bytes)\n", outFile, len(data))
-	fmt.Printf("benchmark           %s, mode %s\n", bench, mode)
+	fmt.Printf("benchmark           %s, system %s\n", bench, system)
 	fmt.Printf("committed uops      %d in %d cycles (drained)\n", st.Committed, c.Now())
 	fmt.Printf("resume pc           %#x\n", c.FetchPC())
 	fmt.Printf("stats digest        %#x\n", simcheck.StatsDigest(c.Stats()))
-	return 0
+	return nil
 }
 
 // restoreRun rebuilds a machine from a snapshot and simulates uops more
 // micro-ops from the restore point with fresh statistics.
-func restoreRun(file, bench, mode string, pf, enh bool, pfKind string, uops uint64, check bool) int {
+func restoreRun(file, bench, system string, uops uint64, check bool) error {
 	data, err := os.ReadFile(file)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
-	cfg, err := coreConfig(mode, pf, enh, pfKind, 0)
+	cfg, p, err := machine(bench, system, 0)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	p, err := workload.Load(bench)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
 	c, err := core.RestoreCore(data, cfg, p)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
 	fmt.Printf("restored            %s at cycle %d, pc %#x\n", file, c.Now(), c.FetchPC())
 	var chk *simcheck.Checker
@@ -104,9 +89,9 @@ func restoreRun(file, bench, mode string, pf, enh bool, pfKind string, uops uint
 	if chk != nil {
 		chk.Finish()
 	}
-	fmt.Printf("benchmark           %s, mode %s\n", bench, mode)
+	fmt.Printf("benchmark           %s, system %s\n", bench, system)
 	fmt.Printf("committed uops      %d in %d cycles\n", st.Committed, st.Cycles)
 	fmt.Printf("IPC                 %.3f\n", st.IPC())
 	fmt.Printf("stats digest        %#x\n", simcheck.StatsDigest(st))
-	return 0
+	return nil
 }

@@ -3,8 +3,8 @@
 //
 // Examples:
 //
-//	runahead-sim -bench mcf -mode hybrid
-//	runahead-sim -bench sphinx3 -mode runahead-buffer+cc -pf -uops 300000
+//	runahead-sim -bench mcf -system Hybrid
+//	runahead-sim -bench sphinx3 -system RB+CC+PF -uops 300000
 //	runahead-sim -list
 package main
 
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"runaheadsim"
 	"runaheadsim/internal/core"
@@ -27,10 +28,7 @@ import (
 func main() {
 	var (
 		bench  = flag.String("bench", "mcf", "benchmark name (see -list)")
-		mode   = flag.String("mode", "baseline", "baseline | runahead | runahead-buffer | runahead-buffer+cc | hybrid | adaptive-hybrid")
-		pf     = flag.Bool("pf", false, "enable the stream prefetcher")
-		pfkind = flag.String("pfkind", "stream", "prefetch engine: stream | delta (with -pf and -trace only)")
-		enh    = flag.Bool("enh", false, "enable the runahead efficiency enhancements")
+		system = flag.String("system", "Base", "simulated system: "+strings.Join(runaheadsim.Systems(), " | "))
 		uops   = flag.Uint64("uops", 150_000, "measured micro-ops")
 		warmup = flag.Uint64("warmup", 0, "warmup micro-ops (0 = automatic)")
 		dump   = flag.Bool("stats", false, "dump raw counters")
@@ -43,9 +41,9 @@ func main() {
 		tlFmt  = flag.String("timeline-format", "csv", "timeline format: csv | json")
 		check  = flag.Bool("check", simcheck.TagEnabled, "run the simcheck sanitizer (lockstep oracle + structural invariants)")
 		ckOut  = flag.String("checkpoint-out", "", "simulate warmup+uops, drain, and write a machine snapshot to this file")
-		restr  = flag.String("restore", "", "restore a machine snapshot (same -bench/-mode flags) and simulate -uops more micro-ops")
+		restr  = flag.String("restore", "", "restore a machine snapshot (same -bench/-system flags) and simulate -uops more micro-ops")
 		list   = flag.Bool("list", false, "list benchmarks and exit")
-		all    = flag.Bool("all-modes", false, "run every runahead mode on the benchmark and print a comparison")
+		all    = flag.Bool("all-systems", false, "run every system on the benchmark and print a comparison")
 		pipe   = flag.Bool("pipeline", false, "print the Figure 6 pipeline diagram and exit")
 		disasm = flag.Bool("disasm", false, "print the benchmark's program listing and exit")
 		showEn = flag.Bool("energy", false, "print the energy breakdown by component")
@@ -76,60 +74,53 @@ func main() {
 		return
 	}
 
-	if *all {
-		compareModes(*bench, *pf, *uops, *warmup, *wdog, *fdump)
-		return
-	}
-
-	if *disasm {
-		p, err := workload.Load(*bench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	var err error
+	switch {
+	case *all:
+		err = compareSystems(*bench, *uops, *warmup, *wdog, *fdump)
+	case *disasm:
+		var p *prog.Program
+		if p, err = workload.Load(*bench); err == nil {
+			fmt.Print(prog.Disasm(p))
 		}
-		fmt.Print(prog.Disasm(p))
-		return
-	}
-
-	if *ckOut != "" {
-		os.Exit(checkpointRun(*bench, *mode, *pf, *enh, *pfkind, *uops, *warmup, *ckOut, *check))
-	}
-	if *restr != "" {
-		os.Exit(restoreRun(*restr, *bench, *mode, *pf, *enh, *pfkind, *uops, *check))
-	}
-
-	if *trace > 0 || *trFmt != "" || *trOut != "" {
+	case *ckOut != "":
+		err = checkpointRun(*bench, *system, *uops, *warmup, *ckOut, *check)
+	case *restr != "":
+		err = restoreRun(*restr, *bench, *system, *uops, *check)
+	case *trace > 0 || *trFmt != "" || *trOut != "":
 		cycles := *trace
 		if cycles <= 0 {
 			cycles = 10_000
 		}
-		if err := tracePipeline(*bench, *mode, *pf, *enh, *pfkind, cycles, *trFmt, *trOut, *check, *wdog, *fdump); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		err = tracePipeline(*bench, *system, cycles, *trFmt, *trOut, *check, *wdog, *fdump)
+	default:
+		err = report(runaheadsim.Config{
+			Benchmark:        *bench,
+			System:           *system,
+			MeasureUops:      *uops,
+			WarmupUops:       *warmup,
+			TimelineInterval: *tlEach,
+			Check:            *check,
+			WatchdogCycles:   *wdog,
+			FlightDumpDir:    *fdump,
+		}, *showEn, *chains, *dump, *tlFmt, *tlOut)
 	}
-
-	rcfg := runaheadsim.Config{
-		Benchmark:        *bench,
-		Mode:             runaheadsim.Mode(*mode),
-		Prefetcher:       *pf,
-		Enhancements:     *enh,
-		MeasureUops:      *uops,
-		WarmupUops:       *warmup,
-		TimelineInterval: *tlEach,
-		Check:            *check,
-		WatchdogCycles:   *wdog,
-		FlightDumpDir:    *fdump,
-	}
-	res, err := runaheadsim.Run(rcfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
 
+// report runs cfg and prints its headline metrics, then whichever of the
+// energy breakdown, the cached chains, the raw counters and the timeline
+// were asked for.
+func report(cfg runaheadsim.Config, energy, chains, counters bool, tlFmt, tlOut string) error {
+	res, err := runaheadsim.Run(cfg)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("benchmark          %s\n", res.Benchmark)
-	fmt.Printf("mode               %s (prefetcher=%v)\n", res.Mode, *pf)
+	fmt.Printf("system             %s\n", res.System)
 	fmt.Printf("committed uops     %d in %d cycles\n", res.Committed, res.Cycles)
 	fmt.Printf("IPC                %.3f (%+.1f%% vs no-PF baseline)\n", res.IPC, res.IPCDeltaPct)
 	fmt.Printf("MPKI               %.1f\n", res.MPKI)
@@ -147,29 +138,27 @@ func main() {
 			fmt.Printf("chain cache        %.1f%% hit rate\n", 100*res.ChainCacheHitRate)
 		}
 	}
-	if *showEn {
+	if energy {
 		fmt.Println()
 		for _, comp := range res.EnergyBreakdown.Components() {
 			fmt.Printf("energy %-28s %10.2f uJ (%4.1f%%)\n", comp.Name, comp.UJ, 100*comp.UJ/res.EnergyUJ)
 		}
 	}
-	if *chains {
+	if chains {
 		for _, ch := range res.Chains {
 			fmt.Printf("\n%s", ch)
 		}
 		if len(res.Chains) == 0 {
-			fmt.Println("\n(no chains cached; use a runahead-buffer mode)")
+			fmt.Println("\n(no chains cached; use a runahead-buffer system)")
 		}
 	}
-	if *dump {
+	if counters {
 		fmt.Printf("\n%s", res.Stats.Counters())
 	}
-	if res.Timeline != nil {
-		if err := writeTimeline(res.Timeline, *tlFmt, *tlOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if res.Timeline == nil {
+		return nil
 	}
+	return writeTimeline(res.Timeline, tlFmt, tlOut)
 }
 
 // writeTimeline exports the interval samples as CSV or JSON, to a file or
@@ -197,12 +186,8 @@ func writeTimeline(tl *stats.Timeline, format, out string) error {
 }
 
 // tracePipeline drops below the facade to attach a cycle-by-cycle tracer.
-func tracePipeline(bench, mode string, pf, enh bool, pfKind string, cycles int64, format, out string, check bool, wdog int64, fdump string) (err error) {
-	cfg, err := coreConfig(mode, pf, enh, pfKind, wdog)
-	if err != nil {
-		return err
-	}
-	p, err := workload.Load(bench)
+func tracePipeline(bench, system string, cycles int64, format, out string, check bool, wdog int64, fdump string) (err error) {
+	cfg, p, err := machine(bench, system, wdog)
 	if err != nil {
 		return err
 	}
@@ -228,7 +213,7 @@ func tracePipeline(bench, mode string, pf, enh bool, pfKind string, cycles int64
 		rec := recover()
 		cerr := c.CloseEventSink()
 		if rec != nil {
-			if path := harness.WriteFlightDump(fdump, "flight-"+bench+"-"+mode, c); path != "" {
+			if path := harness.WriteFlightDump(fdump, "flight-"+bench+"-"+system, c); path != "" {
 				rec = fmt.Sprintf("%v\n  (flight recorder dumped to %s)", rec, path)
 			}
 			panic(rec)
@@ -269,26 +254,24 @@ const pipelineDiagram = `Figure 6 — the runahead buffer pipeline:
   (+) needed for traditional runahead   (*) added for the runahead buffer
 `
 
-// compareModes runs every runahead mode and prints one row per system.
-func compareModes(bench string, pf bool, uops, warmup uint64, wdog int64, fdump string) {
+// compareSystems runs every system on one runner, so the baseline every
+// row is measured against is simulated once, and prints one row per system.
+func compareSystems(bench string, uops, warmup uint64, wdog int64, fdump string) error {
+	if _, ok := workload.SpecOf(bench); !ok {
+		return fmt.Errorf("unknown benchmark %q (see -list)", bench)
+	}
+	r := harness.NewRunner(harness.Options{MeasureUops: uops, WarmupUops: warmup,
+		WatchdogCycles: wdog, FlightDumpDir: fdump})
+	base := r.Result(bench, harness.Baseline)
 	fmt.Printf("%-22s %8s %10s %13s %11s %10s\n",
 		"system", "IPC", "IPC gain", "energy diff", "DRAM diff", "intervals")
-	for _, m := range runaheadsim.Modes() {
-		res, err := runaheadsim.Run(runaheadsim.Config{
-			Benchmark:      bench,
-			Mode:           m,
-			Prefetcher:     pf,
-			Enhancements:   m == runaheadsim.ModeHybrid || m == runaheadsim.ModeAdaptiveHybrid,
-			MeasureUops:    uops,
-			WarmupUops:     warmup,
-			WatchdogCycles: wdog,
-			FlightDumpDir:  fdump,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%-22s %8.3f %9.1f%% %12.1f%% %10.1f%% %10d\n",
-			string(m), res.IPC, res.IPCDeltaPct, res.EnergyDeltaPct, res.TrafficDeltaPct, res.RunaheadIntervals)
+	for _, rc := range harness.Systems() {
+		res := r.Result(bench, rc)
+		fmt.Printf("%-22s %8.3f %9.1f%% %12.1f%% %10.1f%% %10d\n", rc.Label(), res.IPC,
+			stats.PctDelta(res.IPC, base.IPC),
+			stats.PctDelta(res.Energy.Total(), base.Energy.Total()),
+			stats.PctDelta(float64(res.DRAMRequests), float64(base.DRAMRequests)),
+			res.Stats.RunaheadIntervals)
 	}
+	return nil
 }

@@ -95,14 +95,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	opts := harness.Options{MeasureUops: *uops, WarmupUops: *warmup, FlightDumpDir: *fdump, Benchmarks: benchSet}
 	if !*quiet {
-		// Prewarm workers report concurrently, and stderr need not be safe
-		// for concurrent writes.
-		var mu sync.Mutex
-		opts.Progress = func(bench, config string) {
-			mu.Lock()
-			defer mu.Unlock()
-			fmt.Fprintf(stderr, "running %-12s %s\n", bench, config)
-		}
+		opts.Monitor = &progress{w: stderr}
 	}
 	if *sample {
 		if *sMode != harness.SampleEven && *sMode != harness.SamplePhase {
@@ -156,6 +149,24 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	return 0
 }
+
+// progress is a harness.Monitor that prints one line per simulated run.
+// Prewarm workers report concurrently, and the writer need not be safe for
+// concurrent writes.
+type progress struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (p *progress) RunStart(bench, config string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fmt.Fprintf(p.w, "running %-12s %s\n", bench, config)
+}
+
+func (*progress) RunDone(string, string)                    {}
+func (*progress) Phase(string, string, int, string, uint64) {}
+func (*progress) Done(string, string, int)                  {}
 
 // selectExperiments resolves the -experiments flag against the registry.
 func selectExperiments(spec string) ([]harness.Experiment, error) {

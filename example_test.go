@@ -28,7 +28,7 @@ func ExampleRun() {
 		panic(err)
 	}
 	buf, err := runaheadsim.Run(runaheadsim.Config{
-		Benchmark: "mcf", Mode: runaheadsim.ModeRunaheadBufferCC,
+		Benchmark: "mcf", System: "RB+CC",
 		MeasureUops: 20_000, WarmupUops: 20_000,
 	})
 	if err != nil {

@@ -14,33 +14,18 @@ import (
 
 func main() {
 	const bench = "mcf"
-	type system struct {
-		label string
-		mode  runaheadsim.Mode
-		enh   bool
-	}
-	systems := []system{
-		{"baseline", runaheadsim.ModeBaseline, false},
-		{"runahead", runaheadsim.ModeRunahead, false},
-		{"runahead enhanced", runaheadsim.ModeRunahead, true},
-		{"runahead buffer", runaheadsim.ModeRunaheadBuffer, false},
-		{"runahead buffer + CC", runaheadsim.ModeRunaheadBufferCC, false},
-		{"hybrid", runaheadsim.ModeHybrid, true},
-	}
-
 	fmt.Printf("%-22s %8s %10s %14s %12s\n", "system", "IPC", "IPC gain", "energy (uJ)", "energy diff")
-	for _, s := range systems {
+	for _, system := range []string{"Base", "RA", "RA-Enh", "RB", "RB+CC", "Hybrid"} {
 		res, err := runaheadsim.Run(runaheadsim.Config{
-			Benchmark:    bench,
-			Mode:         s.mode,
-			Enhancements: s.enh,
-			MeasureUops:  80_000,
+			Benchmark:   bench,
+			System:      system,
+			MeasureUops: 80_000,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-22s %8.3f %9.1f%% %14.1f %11.1f%%\n",
-			s.label, res.IPC, res.IPCDeltaPct, res.EnergyUJ, res.EnergyDeltaPct)
+			system, res.IPC, res.IPCDeltaPct, res.EnergyUJ, res.EnergyDeltaPct)
 	}
 	fmt.Println("\nthe buffer converts traditional runahead's front-end energy overhead into a")
 	fmt.Println("saving: it fetches nothing, loops a <=32-uop chain, and still runs further")

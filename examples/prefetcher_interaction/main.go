@@ -12,13 +12,11 @@ import (
 	"runaheadsim"
 )
 
-func ipc(bench string, mode runaheadsim.Mode, pf bool) float64 {
+func ipc(bench, system string) float64 {
 	res, err := runaheadsim.Run(runaheadsim.Config{
-		Benchmark:    bench,
-		Mode:         mode,
-		Prefetcher:   pf,
-		Enhancements: mode == runaheadsim.ModeHybrid,
-		MeasureUops:  80_000,
+		Benchmark:   bench,
+		System:      system,
+		MeasureUops: 80_000,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -29,10 +27,10 @@ func ipc(bench string, mode runaheadsim.Mode, pf bool) float64 {
 func main() {
 	fmt.Printf("%-12s %10s %10s %14s %16s\n", "benchmark", "base", "PF only", "hybrid only", "hybrid + PF")
 	for _, bench := range []string{"libquantum", "zeusmp"} {
-		base := ipc(bench, runaheadsim.ModeBaseline, false)
-		pf := ipc(bench, runaheadsim.ModeBaseline, true)
-		hy := ipc(bench, runaheadsim.ModeHybrid, false)
-		both := ipc(bench, runaheadsim.ModeHybrid, true)
+		base := ipc(bench, "Base")
+		pf := ipc(bench, "PF")
+		hy := ipc(bench, "Hybrid")
+		both := ipc(bench, "Hybrid+PF")
 		fmt.Printf("%-12s %10.3f %9.0f%% %13.0f%% %15.0f%%\n",
 			bench, base, 100*(pf/base-1), 100*(hy/base-1), 100*(both/base-1))
 	}

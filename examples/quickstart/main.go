@@ -14,10 +14,10 @@ import (
 func main() {
 	const bench = "mcf"
 
-	run := func(mode runaheadsim.Mode) runaheadsim.Result {
+	run := func(system string) runaheadsim.Result {
 		res, err := runaheadsim.Run(runaheadsim.Config{
 			Benchmark:   bench,
-			Mode:        mode,
+			System:      system,
 			MeasureUops: 100_000,
 		})
 		if err != nil {
@@ -25,9 +25,9 @@ func main() {
 		}
 		return res
 	}
-	base := run(runaheadsim.ModeBaseline)
-	trad := run(runaheadsim.ModeRunahead)
-	buf := run(runaheadsim.ModeRunaheadBufferCC)
+	base := run("Base")
+	trad := run("RA")
+	buf := run("RB+CC")
 
 	fmt.Printf("benchmark: %s (MPKI %.1f — %s spends %.0f%% of baseline cycles stalled on DRAM)\n\n",
 		bench, base.MPKI, bench, base.MemStallPct)

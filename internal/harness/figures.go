@@ -73,6 +73,16 @@ func (r *Runner) gmeanCell(benches []string, rc RunConfig) string {
 	return pct(r.gmeanDelta(benches, rc))
 }
 
+// columns heads a table whose columns after "Benchmark" are configs, each
+// named by its Label.
+func columns(configs []RunConfig) []string {
+	out := []string{"Benchmark"}
+	for _, rc := range configs {
+		out = append(out, rc.Label())
+	}
+	return out
+}
+
 // Table1 renders the simulated system configuration.
 func Table1(r *Runner) Table {
 	cfg := core.DefaultConfig()
@@ -198,7 +208,7 @@ func Figure5(r *Runner) Table {
 func Figure9(r *Runner) Table {
 	configs := []RunConfig{Runahead, Buffer, BufferCC, Hybrid}
 	t := Table{ID: "figure9", Title: "% IPC difference over no-prefetching baseline",
-		Columns: []string{"Benchmark", "RA", "RB", "RB+CC", "Hybrid"}}
+		Columns: columns(configs)}
 	for _, name := range r.allNames() {
 		row := []string{name}
 		for _, rc := range configs {
@@ -320,7 +330,7 @@ func Figure14(r *Runner) Table {
 func Figure15(r *Runner) Table {
 	configs := []RunConfig{Baseline.WithPF(), Runahead.WithPF(), Buffer.WithPF(), BufferCC.WithPF(), Hybrid.WithPF()}
 	t := Table{ID: "figure15", Title: "% IPC difference over no-PF baseline, with stream prefetching",
-		Columns: []string{"Benchmark", "PF", "RA+PF", "RB+PF", "RB+CC+PF", "Hybrid+PF"}}
+		Columns: columns(configs)}
 	for _, name := range r.mhNames() {
 		row := []string{name}
 		for _, rc := range configs {
@@ -341,7 +351,7 @@ func Figure15(r *Runner) Table {
 func Figure16(r *Runner) Table {
 	configs := []RunConfig{Runahead, BufferCC, Hybrid, Baseline.WithPF()}
 	t := Table{ID: "figure16", Title: "% additional DRAM requests vs no-prefetching baseline",
-		Columns: []string{"Benchmark", "RA", "RB+CC", "Hybrid", "PF"}}
+		Columns: columns(configs)}
 	sums := make([][]float64, len(configs))
 	for _, name := range r.mhNames() {
 		base := r.Result(name, Baseline)
@@ -367,7 +377,7 @@ func Figure16(r *Runner) Table {
 func Figure17(r *Runner) Table {
 	configs := []RunConfig{Runahead, RunaheadEnh, Buffer, BufferCC, Hybrid}
 	t := Table{ID: "figure17", Title: "% energy difference vs no-PF baseline (no prefetching)",
-		Columns: []string{"Benchmark", "RA", "RA-Enh", "RB", "RB+CC", "Hybrid"}}
+		Columns: columns(configs)}
 	r.energyRows(&t, configs)
 	t.Notes = append(t.Notes, "paper GMean: RA +44%, RA-Enh +9%, RB -4.4%, RB+CC -6.7%, Hybrid -2.3%")
 	return t
@@ -378,7 +388,7 @@ func Figure17(r *Runner) Table {
 func Figure18(r *Runner) Table {
 	configs := []RunConfig{Baseline.WithPF(), Runahead.WithPF(), RunaheadEnh.WithPF(), Buffer.WithPF(), BufferCC.WithPF(), Hybrid.WithPF()}
 	t := Table{ID: "figure18", Title: "% energy difference vs no-PF baseline (with prefetching)",
-		Columns: []string{"Benchmark", "PF", "RA+PF", "RA-Enh+PF", "RB+PF", "RB+CC+PF", "Hybrid+PF"}}
+		Columns: columns(configs)}
 	r.energyRows(&t, configs)
 	t.Notes = append(t.Notes, "paper GMean: PF -19.5%, RA+PF -1.7%, RA-Enh+PF -15.4%, RB+PF -20.8%, RB+CC+PF -22.5%, Hybrid+PF -19.9%")
 	return t

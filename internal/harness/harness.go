@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"runaheadsim/internal/core"
@@ -35,15 +36,43 @@ type RunConfig struct {
 	PFKind string
 }
 
-// The systems evaluated in Section 6.
+// The systems evaluated in Section 6, the adaptive-hybrid extension, and
+// the delta-engine prefetcher the prefetcher comparison runs.
 var (
-	Baseline    = RunConfig{Mode: core.ModeNone}
-	Runahead    = RunConfig{Mode: core.ModeTraditional}
-	RunaheadEnh = RunConfig{Mode: core.ModeTraditional, Enhancements: true}
-	Buffer      = RunConfig{Mode: core.ModeBuffer}
-	BufferCC    = RunConfig{Mode: core.ModeBufferCC}
-	Hybrid      = RunConfig{Mode: core.ModeHybrid, Enhancements: true}
+	Baseline       = RunConfig{Mode: core.ModeNone}
+	Runahead       = RunConfig{Mode: core.ModeTraditional}
+	RunaheadEnh    = RunConfig{Mode: core.ModeTraditional, Enhancements: true}
+	Buffer         = RunConfig{Mode: core.ModeBuffer}
+	BufferCC       = RunConfig{Mode: core.ModeBufferCC}
+	Hybrid         = RunConfig{Mode: core.ModeHybrid, Enhancements: true}
+	AdaptiveHybrid = RunConfig{Mode: core.ModeAdaptive, Enhancements: true}
+	DeltaPF        = RunConfig{Mode: core.ModeNone, Prefetch: true, PFKind: "delta"}
 )
+
+// Systems lists every named system in figure order: Base and PF, the
+// runahead systems, the prefetching variant of each runahead system, then
+// the delta-engine prefetcher. It is the only set of machines the library
+// and the runahead-sim command offer.
+func Systems() []RunConfig {
+	runahead := []RunConfig{Runahead, RunaheadEnh, Buffer, BufferCC, Hybrid, AdaptiveHybrid}
+	out := append([]RunConfig{Baseline, Baseline.WithPF()}, runahead...)
+	for _, rc := range runahead {
+		out = append(out, rc.WithPF())
+	}
+	return append(out, DeltaPF)
+}
+
+// SystemByName returns the system of Systems whose Label is name.
+func SystemByName(name string) (RunConfig, error) {
+	var names []string
+	for _, rc := range Systems() {
+		if rc.Label() == name {
+			return rc, nil
+		}
+		names = append(names, rc.Label())
+	}
+	return RunConfig{}, fmt.Errorf("unknown system %q (have %s)", name, strings.Join(names, ", "))
+}
 
 // WithPF returns the configuration with the stream prefetcher enabled.
 func (rc RunConfig) WithPF() RunConfig { rc.Prefetch = true; return rc }
@@ -51,27 +80,36 @@ func (rc RunConfig) WithPF() RunConfig { rc.Prefetch = true; return rc }
 // WithDepTrack returns the configuration with Figure 2-5 instrumentation.
 func (rc RunConfig) WithDepTrack() RunConfig { rc.DepTrack = true; return rc }
 
-// Label names the configuration the way the figures do.
+// Label names the configuration the way the figures do; it is the only
+// spelling of a system's name, and distinct over Systems.
 func (rc RunConfig) Label() string {
+	pf := "PF"
+	if rc.PFKind == "delta" {
+		pf = "DeltaPF"
+	}
 	var s string
-	switch {
-	case rc.Mode == core.ModeNone && rc.Prefetch:
-		return "PF"
-	case rc.Mode == core.ModeNone:
+	switch rc.Mode {
+	case core.ModeNone:
+		if rc.Prefetch {
+			return pf
+		}
 		return "Base"
-	case rc.Mode == core.ModeTraditional && rc.Enhancements:
-		s = "RA-Enh"
-	case rc.Mode == core.ModeTraditional:
+	case core.ModeTraditional:
 		s = "RA"
-	case rc.Mode == core.ModeBuffer:
+		if rc.Enhancements {
+			s = "RA-Enh"
+		}
+	case core.ModeBuffer:
 		s = "RB"
-	case rc.Mode == core.ModeBufferCC:
+	case core.ModeBufferCC:
 		s = "RB+CC"
+	case core.ModeAdaptive:
+		s = "Adaptive"
 	default:
 		s = "Hybrid"
 	}
 	if rc.Prefetch {
-		s += "+PF"
+		s += "+" + pf
 	}
 	return s
 }
@@ -118,10 +156,6 @@ type Options struct {
 	// Benchmarks restricts figures to a subset (nil = the figure's full
 	// set). Used by the scaled-down `go test -bench` harness.
 	Benchmarks []string
-	// Progress is invoked once per simulated run. During Prewarm it is
-	// called from worker goroutines concurrently; it must be safe for that.
-	Progress func(bench, config string)
-
 	// Monitor, when non-nil, receives the run boundaries and phase
 	// transitions of every simulated run. Calls arrive from worker
 	// goroutines concurrently.
@@ -136,10 +170,9 @@ type Options struct {
 	Sample *SampleOptions
 
 	// TimelineInterval, when positive, attaches an interval sampler to every
-	// full-detail measured run; each Result then carries a Timeline.
-	// TimelineSamples bounds the retained ring (0 = 4096).
+	// full-detail measured run; each Result then carries a Timeline of the
+	// latest timelineSamples samples.
 	TimelineInterval int64
-	TimelineSamples  int
 
 	// Check attaches the simcheck sanitizer (lockstep architectural oracle
 	// plus per-cycle structural invariants) to every run; a violation
@@ -442,9 +475,6 @@ func (r *Runner) run(bench string, rc RunConfig) *Result {
 		panic(fmt.Sprintf("harness: unknown benchmark %q", bench))
 	}
 	label := rc.Label()
-	if r.opts.Progress != nil {
-		r.opts.Progress(bench, label)
-	}
 	if m := r.opts.Monitor; m != nil {
 		m.RunStart(bench, label)
 		defer m.RunDone(bench, label)

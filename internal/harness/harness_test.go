@@ -63,20 +63,46 @@ func TestRunnerMemoizes(t *testing.T) {
 
 func TestLabels(t *testing.T) {
 	cases := map[string]RunConfig{
-		"Base":      Baseline,
-		"PF":        Baseline.WithPF(),
-		"RA":        Runahead,
-		"RA-Enh":    RunaheadEnh,
-		"RB":        Buffer,
-		"RB+CC":     BufferCC,
-		"Hybrid":    Hybrid,
-		"RA+PF":     Runahead.WithPF(),
-		"Hybrid+PF": Hybrid.WithPF(),
+		"Base":        Baseline,
+		"PF":          Baseline.WithPF(),
+		"RA":          Runahead,
+		"RA-Enh":      RunaheadEnh,
+		"RB":          Buffer,
+		"RB+CC":       BufferCC,
+		"Hybrid":      Hybrid,
+		"Adaptive":    AdaptiveHybrid,
+		"RA+PF":       Runahead.WithPF(),
+		"Hybrid+PF":   Hybrid.WithPF(),
+		"Adaptive+PF": AdaptiveHybrid.WithPF(),
+		"DeltaPF":     DeltaPF,
 	}
 	for want, rc := range cases {
 		if got := rc.Label(); got != want {
 			t.Errorf("Label(%+v) = %q, want %q", rc, got, want)
 		}
+	}
+}
+
+// TestSystemTable pins the system table: every label is distinct, and each
+// entry is what SystemByName returns for its label.
+func TestSystemTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, rc := range Systems() {
+		name := rc.Label()
+		if seen[name] {
+			t.Errorf("label %q names two systems", name)
+		}
+		seen[name] = true
+		got, err := SystemByName(name)
+		if err != nil || got != rc {
+			t.Errorf("SystemByName(%q) = %+v, %v; want %+v", name, got, err, rc)
+		}
+	}
+	if len(seen) != 15 {
+		t.Errorf("have %d systems, want 15", len(seen))
+	}
+	if _, err := SystemByName("Hybrid-NoEnh"); err == nil || !strings.Contains(err.Error(), "RB+CC") {
+		t.Errorf("an unknown name must fail listing the valid ones, got %v", err)
 	}
 }
 
@@ -296,7 +322,7 @@ func TestCPIStackTable(t *testing.T) {
 // TestRunnerTimelineOption checks the TimelineInterval option produces a
 // populated timeline on every result.
 func TestRunnerTimelineOption(t *testing.T) {
-	r := NewRunner(Options{MeasureUops: 8_000, WarmupUops: 8_000, TimelineInterval: 512, TimelineSamples: 64})
+	r := NewRunner(Options{MeasureUops: 8_000, WarmupUops: 8_000, TimelineInterval: 512})
 	res := r.Result("mcf", Baseline)
 	if res.Timeline == nil || res.Timeline.Len() == 0 {
 		t.Fatal("timeline option produced no samples")

@@ -131,9 +131,6 @@ func (r *Runner) runMix(mix []string, rc RunConfig) *MixResult {
 		m.RunStart(mixName, label)
 		defer m.RunDone(mixName, label)
 	}
-	if r.opts.Progress != nil {
-		r.opts.Progress(mixName, label)
-	}
 
 	cl := multicore.New(cfg, progs)
 	var checkers []*simcheck.Checker

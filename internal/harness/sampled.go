@@ -521,6 +521,10 @@ func (r *Runner) runDetailed(bench string, rc RunConfig, spec workload.Spec) (*R
 	return res, nil
 }
 
+// timelineSamples bounds a full-detail run's timeline ring; a longer run
+// keeps its latest samples.
+const timelineSamples = 4096
+
 // runInterval simulates one detailed window from its checkpoint: it builds
 // the core, installs the checkpoint's functionally warmed caches and
 // predictor when it carries them, attaches the simcheck oracle when asked,
@@ -571,11 +575,7 @@ func (r *Runner) runInterval(bench, label string, cfg core.Config, p *prog.Progr
 	c.Run(ck.warmup)
 	c.ResetStats()
 	if n := r.opts.TimelineInterval; n > 0 && !sampled {
-		samples := r.opts.TimelineSamples
-		if samples <= 0 {
-			samples = 4096
-		}
-		ir.timeline = stats.NewTimeline(n, samples)
+		ir.timeline = stats.NewTimeline(n, timelineSamples)
 		c.SetTimeline(ir.timeline)
 	}
 	if m != nil {

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"runaheadsim/internal/core"
@@ -22,8 +21,8 @@ import (
 // TestPlanCollectsRuns checks planning mode records each distinct pair once,
 // in first-request order, without simulating anything.
 func TestPlanCollectsRuns(t *testing.T) {
-	calls := int32(0)
-	r := NewRunner(Options{MeasureUops: 1_000, Progress: func(string, string) { atomic.AddInt32(&calls, 1) }})
+	mon := &recordingMonitor{}
+	r := NewRunner(Options{MeasureUops: 1_000, Monitor: mon})
 	runs := r.Plan(func(r *Runner) {
 		r.Result("mcf", Baseline)
 		r.Result("mcf", BufferCC)
@@ -37,8 +36,8 @@ func TestPlanCollectsRuns(t *testing.T) {
 		runs[1].Config != BufferCC || runs[2].Bench != "lbm" {
 		t.Fatalf("planned runs out of order: %+v", runs)
 	}
-	if atomic.LoadInt32(&calls) != 0 {
-		t.Fatal("planning mode must not simulate (Progress fired)")
+	if len(mon.starts) != 0 {
+		t.Fatal("planning mode must not simulate (RunStart fired)")
 	}
 	if len(r.cache) != 0 {
 		t.Fatal("planning mode must not populate the cache")
@@ -89,9 +88,8 @@ func TestPrewarmParallelByteIdentical(t *testing.T) {
 // TestResultSingleFlight checks concurrent Result calls for one pair share a
 // single simulation.
 func TestResultSingleFlight(t *testing.T) {
-	var sims int32
-	r := NewRunner(Options{MeasureUops: 3_000, WarmupUops: 3_000,
-		Progress: func(string, string) { atomic.AddInt32(&sims, 1) }})
+	mon := &recordingMonitor{}
+	r := NewRunner(Options{MeasureUops: 3_000, WarmupUops: 3_000, Monitor: mon})
 	var wg sync.WaitGroup
 	results := make([]*Result, 8)
 	for i := range results {
@@ -107,7 +105,7 @@ func TestResultSingleFlight(t *testing.T) {
 			t.Fatal("concurrent identical runs returned distinct results")
 		}
 	}
-	if n := atomic.LoadInt32(&sims); n != 1 {
+	if n := len(mon.starts); n != 1 {
 		t.Fatalf("pair simulated %d times, want 1", n)
 	}
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"runaheadsim/internal/core"
 	"runaheadsim/internal/stats"
 )
 
@@ -85,10 +84,7 @@ func SensChainCache(r *Runner) Table {
 // prefetchers each cover one pattern class, while runahead covers whatever
 // the program's own code computes.
 func ExtPrefetchers(r *Runner) Table {
-	stream := Baseline.WithPF()
-	delta := Baseline.WithPF()
-	delta.PFKind = "delta"
-	configs := []RunConfig{stream, delta, Hybrid}
+	configs := []RunConfig{Baseline.WithPF(), DeltaPF, Hybrid}
 	t := Table{ID: "ext-prefetchers", Title: "% IPC over no-PF baseline: stream PF vs delta (stride) PF vs hybrid runahead",
 		Columns: []string{"Benchmark", "StreamPF", "DeltaPF", "Hybrid"}}
 	gmeans := make([][]float64, len(configs))
@@ -113,16 +109,12 @@ func ExtPrefetchers(r *Runner) Table {
 	return t
 }
 
-// AdaptiveHybrid is the extension configuration: the feedback-directed
-// hybrid that skips intervals whose chains are learned to be barren.
-var AdaptiveHybrid = RunConfig{Mode: core.ModeAdaptive, Enhancements: true}
-
 // ExtAdaptive compares the paper's hybrid policy against the adaptive
 // extension over the medium+high suite.
 func ExtAdaptive(r *Runner) Table {
 	configs := []RunConfig{Hybrid, AdaptiveHybrid}
 	t := Table{ID: "ext-adaptive", Title: "% IPC over no-PF baseline: Figure 8 hybrid vs feedback-directed adaptive hybrid",
-		Columns: []string{"Benchmark", "Hybrid", "Adaptive", "Demotions"}}
+		Columns: append(columns(configs), "Demotions")}
 	gmeans := make([][]float64, len(configs))
 	for _, name := range r.mhNames() {
 		base := r.Result(name, Baseline)

@@ -6,16 +6,16 @@
 // core with a 192-entry reorder buffer, a 32KB+32KB/1MB write-back cache
 // hierarchy, a DDR3 memory system with bank conflicts and FR-FCFS
 // scheduling, a POWER4-style stream prefetcher with feedback-directed
-// throttling, and six runahead schemes: none, traditional runahead, the
-// runahead buffer, the runahead buffer with a chain cache, the hybrid policy
-// of Figure 8, and a feedback-directed adaptive hybrid (an extension beyond
-// the paper).
+// throttling. Systems names the machines the paper's Section 6 evaluates
+// (Base, PF, RA, RA-Enh, RB, RB+CC, Hybrid, each runahead system again with
+// the prefetcher), plus a feedback-directed adaptive hybrid and a
+// region-delta prefetcher (extensions beyond the paper).
 //
 // The quickest way in:
 //
 //	res, err := runaheadsim.Run(runaheadsim.Config{
 //	    Benchmark: "mcf",
-//	    Mode:      runaheadsim.ModeHybrid,
+//	    System:    "Hybrid",
 //	})
 //	fmt.Printf("IPC %.2f (%.1f%% over baseline)\n", res.IPC, res.IPCDeltaPct)
 //
@@ -37,70 +37,21 @@ import (
 	"runaheadsim/internal/workload"
 )
 
-// Mode selects the runahead scheme.
-type Mode string
-
-// The Section 6 systems, plus the adaptive-hybrid extension.
-const (
-	ModeBaseline         Mode = "baseline"
-	ModeRunahead         Mode = "runahead"
-	ModeRunaheadBuffer   Mode = "runahead-buffer"
-	ModeRunaheadBufferCC Mode = "runahead-buffer+cc"
-	ModeHybrid           Mode = "hybrid"
-	ModeAdaptiveHybrid   Mode = "adaptive-hybrid"
-)
-
-// Modes lists all modes.
-func Modes() []Mode {
-	return []Mode{ModeBaseline, ModeRunahead, ModeRunaheadBuffer, ModeRunaheadBufferCC, ModeHybrid, ModeAdaptiveHybrid}
-}
-
-// CoreMode resolves m to the simulator's runahead mode; the empty Mode is
-// the baseline.
-func (m Mode) CoreMode() (core.Mode, error) {
-	switch m {
-	case ModeBaseline, "":
-		return core.ModeNone, nil
-	case ModeRunahead:
-		return core.ModeTraditional, nil
-	case ModeRunaheadBuffer:
-		return core.ModeBuffer, nil
-	case ModeRunaheadBufferCC:
-		return core.ModeBufferCC, nil
-	case ModeHybrid:
-		return core.ModeHybrid, nil
-	case ModeAdaptiveHybrid:
-		return core.ModeAdaptive, nil
-	default:
-		return 0, fmt.Errorf("runaheadsim: unknown mode %q (have %v)", m, Modes())
-	}
-}
-
 // Config selects one simulation.
 type Config struct {
 	// Benchmark is one of Benchmarks(); see the workload documentation for
 	// what each synthetic kernel models.
 	Benchmark string
-	// Mode selects the runahead scheme (default baseline).
-	Mode Mode
-	// Enhancements applies the ISCA'05 runahead-efficiency policies (used by
-	// the paper's "Runahead Enhancements" and Hybrid systems).
-	Enhancements bool
-	// Prefetcher enables the stream prefetcher.
-	Prefetcher bool
-	// DepTrack enables the dependence-walk instrumentation behind Figures
-	// 2-5 (slower to simulate, no effect on timing).
-	DepTrack bool
+	// System names the simulated machine, one of Systems() ("" = "Base").
+	System string
 	// WarmupUops run before measurement begins (0 = automatic).
 	WarmupUops uint64
 	// MeasureUops is the measured instruction budget (0 = 150k).
 	MeasureUops uint64
 	// TimelineInterval, when positive, samples IPC/occupancy/mode every N
-	// cycles of the measured region; the samples land in Result.Timeline.
+	// cycles of the measured region; the samples land in Result.Timeline,
+	// which keeps the latest 4096.
 	TimelineInterval int64
-	// TimelineSamples bounds the retained timeline ring (0 = 4096). When the
-	// run outlives the ring the oldest samples are evicted.
-	TimelineSamples int
 	// Check attaches the simcheck runtime sanitizer: a lockstep oracle
 	// validating every commit against the functional interpreter, plus
 	// per-cycle structural invariants. A violation panics with the
@@ -121,7 +72,7 @@ type Config struct {
 // Result summarizes a simulation.
 type Result struct {
 	Benchmark string
-	Mode      Mode
+	System    string
 
 	// Headline metrics.
 	IPC         float64
@@ -174,12 +125,27 @@ func MediumHighBenchmarks() []string {
 	return out
 }
 
-// Run simulates one benchmark under one configuration and also runs the
-// matching no-prefetching baseline so the Result can report deltas.
+// Systems returns the names of the simulated machines in figure order:
+// "Base", "PF", the paper's runahead systems and the adaptive-hybrid
+// extension, each again with the stream prefetcher ("+PF"), and "DeltaPF",
+// the region-delta prefetcher.
+func Systems() []string {
+	var out []string
+	for _, rc := range harness.Systems() {
+		out = append(out, rc.Label())
+	}
+	return out
+}
+
+// Run simulates one benchmark on one system and also runs the
+// no-prefetching baseline so the Result can report deltas.
 func Run(cfg Config) (Result, error) {
-	cm, err := cfg.Mode.CoreMode()
+	if cfg.System == "" {
+		cfg.System = harness.Baseline.Label()
+	}
+	rc, err := harness.SystemByName(cfg.System)
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("runaheadsim: %w", err)
 	}
 	if _, ok := workload.SpecOf(cfg.Benchmark); !ok {
 		names := Benchmarks()
@@ -191,13 +157,11 @@ func Run(cfg Config) (Result, error) {
 		MeasureUops:      cfg.MeasureUops,
 		WarmupUops:       cfg.WarmupUops,
 		TimelineInterval: cfg.TimelineInterval,
-		TimelineSamples:  cfg.TimelineSamples,
 		Check:            cfg.Check,
 		WatchdogCycles:   cfg.WatchdogCycles,
 		FlightDumpDir:    cfg.FlightDumpDir,
 	}
 	r := harness.NewRunner(opts)
-	rc := harness.RunConfig{Mode: cm, Enhancements: cfg.Enhancements, Prefetch: cfg.Prefetcher, DepTrack: cfg.DepTrack}
 	res := r.Result(cfg.Benchmark, rc)
 	base := res
 	if rc != harness.Baseline {
@@ -206,7 +170,7 @@ func Run(cfg Config) (Result, error) {
 	st := res.Stats
 	out := Result{
 		Benchmark:            cfg.Benchmark,
-		Mode:                 cfg.Mode,
+		System:               cfg.System,
 		IPC:                  res.IPC,
 		IPCDeltaPct:          100 * (res.IPC/base.IPC - 1),
 		Cycles:               st.Cycles,
@@ -229,9 +193,6 @@ func Run(cfg Config) (Result, error) {
 	}
 	if hm := st.ChainCacheHits + st.ChainCacheMisses; hm > 0 {
 		out.ChainCacheHitRate = float64(st.ChainCacheHits) / float64(hm)
-	}
-	if out.Mode == "" {
-		out.Mode = ModeBaseline
 	}
 	return out, nil
 }

@@ -16,13 +16,13 @@ func TestRunBaseline(t *testing.T) {
 	if res.IPCDeltaPct != 0 {
 		t.Fatal("baseline delta vs itself must be zero")
 	}
-	if res.Mode != ModeBaseline {
-		t.Fatalf("mode = %q", res.Mode)
+	if res.System != "Base" {
+		t.Fatalf("system = %q", res.System)
 	}
 }
 
 func TestRunHybridReportsDeltas(t *testing.T) {
-	res, err := Run(Config{Benchmark: "mcf", Mode: ModeHybrid, MeasureUops: 20_000, WarmupUops: 20_000})
+	res, err := Run(Config{Benchmark: "mcf", System: "Hybrid", MeasureUops: 20_000, WarmupUops: 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +41,8 @@ func TestRunRejectsUnknowns(t *testing.T) {
 	if _, err := Run(Config{Benchmark: "nope"}); err == nil {
 		t.Fatal("unknown benchmark must error")
 	}
-	if _, err := Run(Config{Benchmark: "mcf", Mode: "warp-drive"}); err == nil {
-		t.Fatal("unknown mode must error")
+	if _, err := Run(Config{Benchmark: "mcf", System: "warp-drive"}); err == nil {
+		t.Fatal("unknown system must error")
 	}
 }
 
@@ -53,8 +53,8 @@ func TestBenchmarkLists(t *testing.T) {
 	if len(MediumHighBenchmarks()) != 13 {
 		t.Fatalf("MediumHighBenchmarks() = %d entries", len(MediumHighBenchmarks()))
 	}
-	if len(Modes()) != 6 {
-		t.Fatalf("Modes() = %d entries", len(Modes()))
+	if len(Systems()) != 15 {
+		t.Fatalf("Systems() = %d entries", len(Systems()))
 	}
 }
 

@@ -17,7 +17,7 @@ echo "== build"
 go build -o "$tmp/sim" ./cmd/runahead-sim
 
 echo "== forced watchdog trip dumps the flight recorder"
-if "$tmp/sim" -bench mcf -mode baseline -uops 50000 -watchdog 50 \
+if "$tmp/sim" -bench mcf -uops 50000 -watchdog 50 \
     -flight-dump "$tmp/flight" >/dev/null 2>"$tmp/trip.log"; then
     echo "FAIL: watchdog run unexpectedly succeeded"
     exit 1
@@ -30,7 +30,7 @@ grep -q '"kind":"mark"' "$dump"
 echo "   dump ok: $(wc -l <"$dump") events in ${dump##*/}"
 
 echo "== trace formats"
-"$tmp/sim" -bench mcf -mode hybrid -trace 3000 -trace-format chrome -trace-out "$tmp/trace.json"
+"$tmp/sim" -bench mcf -system Hybrid -trace 3000 -trace-format chrome -trace-out "$tmp/trace.json"
 [ -s "$tmp/trace.json" ] || { echo "FAIL: chrome trace missing or empty"; exit 1; }
 python3 -c '
 import json, sys
@@ -39,7 +39,7 @@ ev = doc["traceEvents"]
 assert ev, "no trace events"
 print("   chrome ok: %d events" % len(ev))
 ' "$tmp/trace.json"
-"$tmp/sim" -bench mcf -mode hybrid -trace 3000 -trace-format jsonl -trace-out "$tmp/trace.jsonl"
+"$tmp/sim" -bench mcf -system Hybrid -trace 3000 -trace-format jsonl -trace-out "$tmp/trace.jsonl"
 [ -s "$tmp/trace.jsonl" ] || { echo "FAIL: jsonl trace missing or empty"; exit 1; }
 python3 -c '
 import json, sys
