@@ -1,9 +1,13 @@
 package cache
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"runaheadsim/internal/snapshot"
 )
 
 func tiny() *Cache {
@@ -25,6 +29,8 @@ func TestBadGeometryPanics(t *testing.T) {
 		{Name: "zero", SizeBytes: 0, Ways: 1, LineBytes: 64},
 		{Name: "npo2sets", SizeBytes: 3 * 64, Ways: 1, LineBytes: 64},
 		{Name: "npo2line", SizeBytes: 512, Ways: 2, LineBytes: 48},
+		// 4-byte lines leave tags 62 bits wide, reaching the way's flag bits.
+		{Name: "tinyline", SizeBytes: 512, Ways: 2, LineBytes: 4},
 	}
 	for _, cfg := range cases {
 		func() {
@@ -255,4 +261,68 @@ func TestMSHRCompleteUnknownPanics(t *testing.T) {
 		}
 	}()
 	f.Complete(0x1234)
+}
+
+// TestSnapshotRoundTripPackedFlags checks that every field a way packs —
+// tag, valid, dirty and prefetch bits, LRU stamp — survives a snapshot round
+// trip, and that the widest tag 8-byte lines produce fits.
+func TestSnapshotRoundTripPackedFlags(t *testing.T) {
+	cfg := Config{Name: "t", SizeBytes: 512, Ways: 2, LineBytes: 8}
+	c := New(cfg)
+	c.Insert(0x1000, true)
+	c.Insert(0x1008, false)
+	c.MarkDirty(0x1008)
+	c.Insert(^uint64(0), true) // tag tagMask
+	c.Lookup(0x1000)
+	c.Invalidate(0x1008)
+	c.Insert(0x2008, false)
+	var w snapshot.Writer
+	if err := c.SnapshotTo(&w); err != nil {
+		t.Fatal(err)
+	}
+	d := New(cfg)
+	if err := d.RestoreFrom(snapshot.NewReader(w.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	var w2 snapshot.Writer
+	if err := d.SnapshotTo(&w2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.Bytes(), w2.Bytes()) {
+		t.Fatal("restored tag array snapshots differently")
+	}
+	if !d.Probe(^uint64(0)) || !d.PrefetchResident(^uint64(0)) || d.PrefetchResident(0x1000) {
+		t.Fatal("restored ways lost their tag or prefetch bits")
+	}
+}
+
+// TestRestoreRejectsWideTag feeds a snapshot whose first way's tag reaches
+// the flag bits: the restore must fail rather than truncate the tag.
+func TestRestoreRejectsWideTag(t *testing.T) {
+	cfg := Config{Name: "t", SizeBytes: 512, Ways: 2, LineBytes: 64}
+	var w snapshot.Writer
+	w.Mark("cache")
+	w.Str(cfg.Name)
+	w.Int(cfg.SizeBytes)
+	w.Int(cfg.Ways)
+	w.Int(cfg.LineBytes)
+	w.U64(1)
+	for i := 0; i < cfg.Sets()*cfg.Ways; i++ {
+		tag := uint64(0)
+		if i == 0 {
+			tag = 1 << 61
+		}
+		w.U64(tag)
+		w.Bool(i == 0)
+		w.Bool(false)
+		w.Bool(false)
+		w.U64(0)
+	}
+	w.U64(0)
+	w.U64(0)
+	w.U64(0)
+	err := New(cfg).RestoreFrom(snapshot.NewReader(w.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "flag bits") {
+		t.Fatalf("restoring a 62-bit tag: err = %v, want a flag-bits error", err)
+	}
 }

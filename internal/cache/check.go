@@ -40,9 +40,10 @@ func (f *MSHRFile) CheckConservation() error {
 // was corrupted (two lines claiming the same recency, or a stale refill
 // resurrecting an evicted line).
 func (c *Cache) CheckIntegrity() error {
-	for si, set := range c.sets {
+	for si := 0; si < c.cfg.Sets(); si++ {
+		set := c.ways[si*c.cfg.Ways : (si+1)*c.cfg.Ways]
 		for i := range set {
-			if !set[i].valid {
+			if !set[i].valid() {
 				continue
 			}
 			if set[i].lastUse > c.stamp {
@@ -50,12 +51,12 @@ func (c *Cache) CheckIntegrity() error {
 					c.cfg.Name, si, i, set[i].lastUse, c.stamp)
 			}
 			for j := i + 1; j < len(set); j++ {
-				if !set[j].valid {
+				if !set[j].valid() {
 					continue
 				}
-				if set[i].tag == set[j].tag {
+				if set[i].tag() == set[j].tag() {
 					return fmt.Errorf("cache %s: set %d holds tag %#x in ways %d and %d",
-						c.cfg.Name, si, set[i].tag, i, j)
+						c.cfg.Name, si, set[i].tag(), i, j)
 				}
 				if set[i].lastUse == set[j].lastUse {
 					return fmt.Errorf("cache %s: set %d ways %d and %d share LRU stamp %d",
@@ -70,11 +71,9 @@ func (c *Cache) CheckIntegrity() error {
 // ForEachValid calls fn with the line address of every valid line, in
 // set/way order. Used by the inclusive-LLC containment check.
 func (c *Cache) ForEachValid(fn func(lineAddr uint64)) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				fn(set[i].tag << c.lineShift)
-			}
+	for i := range c.ways {
+		if w := &c.ways[i]; w.valid() {
+			fn(w.tag() << c.lineShift)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func TestCacheIntegrityCatchesStaleStamp(t *testing.T) {
 	c := testCache(t)
 	// A recency stamp newer than the global stamp means a fill bypassed the
 	// stamp counter.
-	c.sets[0][0].lastUse = c.stamp + 100
+	c.ways[0].lastUse = c.stamp + 100
 	err := c.CheckIntegrity()
 	if err == nil {
 		t.Fatal("future lastUse not caught")
@@ -72,9 +72,8 @@ func TestCacheIntegrityCatchesStaleStamp(t *testing.T) {
 
 func TestCacheIntegrityCatchesDuplicateTag(t *testing.T) {
 	c := testCache(t)
-	c.sets[0][1].tag = c.sets[0][0].tag
-	c.sets[0][1].valid = true
-	c.sets[0][0].valid = true
+	c.ways[0].tagFlags |= wayValid
+	c.ways[1].tagFlags = c.ways[0].tagFlags
 	err := c.CheckIntegrity()
 	if err == nil {
 		t.Fatal("duplicate tag not caught")
@@ -83,7 +82,7 @@ func TestCacheIntegrityCatchesDuplicateTag(t *testing.T) {
 
 func TestCacheIntegrityCatchesDuplicateStamp(t *testing.T) {
 	c := testCache(t)
-	c.sets[0][1].lastUse = c.sets[0][0].lastUse
+	c.ways[1].lastUse = c.ways[0].lastUse
 	err := c.CheckIntegrity()
 	if err == nil {
 		t.Fatal("duplicate recency stamp not caught")

@@ -17,15 +17,13 @@ func (c *Cache) SnapshotTo(w *snapshot.Writer) error {
 	w.Int(c.cfg.Ways)
 	w.Int(c.cfg.LineBytes)
 	w.U64(c.stamp)
-	for _, set := range c.sets {
-		for i := range set {
-			l := &set[i]
-			w.U64(l.tag)
-			w.Bool(l.valid)
-			w.Bool(l.dirty)
-			w.Bool(l.prefetched)
-			w.U64(l.lastUse)
-		}
+	for i := range c.ways {
+		l := &c.ways[i]
+		w.U64(l.tag())
+		w.Bool(l.valid())
+		w.Bool(l.tagFlags&wayDirty != 0)
+		w.Bool(l.tagFlags&wayPrefetch != 0)
+		w.U64(l.lastUse)
 	}
 	w.U64(c.Hits)
 	w.U64(c.Misses)
@@ -34,7 +32,7 @@ func (c *Cache) SnapshotTo(w *snapshot.Writer) error {
 }
 
 // RestoreFrom reads state written by SnapshotTo into c, which must have the
-// same geometry.
+// same geometry. A tag too wide for the packed way fails the restore.
 func (c *Cache) RestoreFrom(r *snapshot.Reader) error {
 	r.Expect("cache")
 	if name := r.Str(); r.Err() == nil && name != c.cfg.Name {
@@ -56,15 +54,24 @@ func (c *Cache) RestoreFrom(r *snapshot.Reader) error {
 		return r.Err()
 	}
 	c.stamp = r.U64()
-	for _, set := range c.sets {
-		for i := range set {
-			l := &set[i]
-			l.tag = r.U64()
-			l.valid = r.Bool()
-			l.dirty = r.Bool()
-			l.prefetched = r.Bool()
-			l.lastUse = r.U64()
+	for i := range c.ways {
+		l := &c.ways[i]
+		tag := r.U64()
+		if tag&^tagMask != 0 {
+			r.Failf("cache %q: way %d holds tag %#x, which overlaps the flag bits", c.cfg.Name, i, tag)
+			return r.Err()
 		}
+		l.tagFlags = tag
+		if r.Bool() {
+			l.tagFlags |= wayValid
+		}
+		if r.Bool() {
+			l.tagFlags |= wayDirty
+		}
+		if r.Bool() {
+			l.tagFlags |= wayPrefetch
+		}
+		l.lastUse = r.U64()
 	}
 	c.Hits = r.U64()
 	c.Misses = r.U64()

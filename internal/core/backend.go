@@ -282,6 +282,9 @@ func (c *Core) execStore(d *DynInst) {
 		d.EAValid = true
 		d.StoreData = c.srcVal(d.PSrc2)
 		c.noteStoreAddr(d)
+		// A held load may now forward from this store, or, in runahead,
+		// read the runahead-cache line it writes below.
+		c.heldWake = true
 	}
 	d.Prod1, d.Prod2 = c.srcProd(d.PSrc1), c.srcProd(d.PSrc2)
 	if c.ra.active {
@@ -338,9 +341,10 @@ func (c *Core) execLoad(d *DynInst) {
 	if fwd != nil {
 		if !fwd.Executed {
 			// Defensive replay: unreachable while stores compute address and
-			// data in the same cycle, correct if those ever split.
-			c.st.LoadRetries++
-			c.schedule(c.now+1, evExecLoad, d)
+			// data in the same cycle, correct if those ever split. It is not
+			// an MSHR refusal, so the next pass re-runs every held load.
+			c.holdLoad(d)
+			c.heldWake = true
 			return
 		}
 		c.st.StoreForward++
@@ -397,13 +401,69 @@ func (c *Core) execLoad(d *DynInst) {
 		d.memValue = c.mem.Read64(d.EA)
 	default:
 		// The L1D MSHR file is full: retry next cycle.
-		c.st.LoadRetries++
-		c.schedule(c.now+1, evExecLoad, d)
+		c.holdLoad(d)
 		return
 	}
 	d.memIssued = true
 	if d.Runahead {
 		c.st.RunaheadLoads++
+	}
+}
+
+// holdLoad queues d, just refused, for retryHeld to retry next cycle; held
+// loads wait in c.held, off the event wheel. It counts the refusal, and what
+// a retry refused under unchanged state would count beyond the hierarchy's
+// own access and miss: in runahead, a runahead-cache miss, and for a
+// buffer-fed load a real buffer load.
+//
+//simlint:hotpath
+func (c *Core) holdLoad(d *DynInst) {
+	c.st.LoadRetries++
+	c.held = append(c.held, schedRef{d: d, gen: d.gen})
+	if c.ra.active {
+		c.heldRACache++
+		if d.FromBuffer {
+			c.heldBuffer++
+		}
+	}
+}
+
+// retryHeld retries the n loads refused before this cycle. When no wake
+// source has fired since the last per-load pass — no L1D fill, no store
+// address or runahead-cache write, no runahead entry or exit, no squash —
+// every held load would take the same path through execLoad to the same
+// refusal, so the pass counts the n refusals in bulk and keeps the queue as
+// it is. Otherwise it re-runs execLoad on each of them, oldest refusal
+// first; those refused again rejoin the queue in that order, behind any
+// refused earlier this cycle.
+//
+//simlint:hotpath
+func (c *Core) retryHeld(n int) {
+	fills := c.h.L1DFillsR(c.memReq)
+	if len(c.held) == n && !c.heldWake && fills == c.heldFills && !c.perLoadRetry {
+		c.st.LoadRetries += uint64(n)
+		c.h.RefuseLoadsR(c.memReq, uint64(n))
+		c.racache.Misses += c.heldRACache
+		c.ra.bufferRealLoads += c.heldBuffer
+		return
+	}
+	c.heldWake, c.heldFills = false, fills
+	for i := 0; i < n; i++ {
+		if r := c.held[i]; r.d.gen == r.gen {
+			c.execLoad(r.d)
+		}
+	}
+	c.held = c.held[:copy(c.held, c.held[n:])]
+	// Every load still held was refused this cycle, in the runahead mode
+	// the event phase runs in throughout.
+	c.heldRACache, c.heldBuffer = 0, 0
+	if c.ra.active {
+		c.heldRACache = uint64(len(c.held))
+		for _, r := range c.held {
+			if r.d.FromBuffer {
+				c.heldBuffer++
+			}
+		}
 	}
 }
 
@@ -611,6 +671,7 @@ func (c *Core) squashAfter(d *DynInst) {
 
 func (c *Core) squash(t *DynInst) {
 	t.Squashed = true
+	c.heldWake = true // t may be a held load
 	c.st.SquashedUops++
 	c.traceSquash(t)
 	c.sched.leave(t.ROBPos)

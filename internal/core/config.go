@@ -261,6 +261,11 @@ func (c Config) Validate() error {
 		{c.ChainCacheEntries >= 1, "chain cache needs at least one entry"},
 		{c.SRSLSize >= 1 && c.RegSearchesPerCycle >= 1, "chain generation needs search capacity"},
 		{c.DecodeDepth >= 0 && c.RedirectPenalty >= 0, "pipeline depths cannot be negative"},
+		// Held loads retry where an event scheduled one cycle out by the
+		// previous event phase would fire (cycleBody); an L1 hit completing
+		// at latency 1 would be such an event, firing after them instead of
+		// in its turn.
+		{c.Mem.L1Latency >= 2, "L1 latency must be at least 2 cycles"},
 	}
 	for _, ch := range checks {
 		if !ch.ok {

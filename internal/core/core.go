@@ -10,9 +10,9 @@ import (
 	"runaheadsim/internal/trace"
 )
 
-// eventWindow bounds how far ahead core-internal events (execution
-// completions, load replays) can be scheduled. The longest operation latency
-// is far below this.
+// eventWindow bounds how far ahead core-internal events (executions and
+// completions) can be scheduled. The longest operation latency is far below
+// this.
 const eventWindow = 128
 
 // evKind names a core-internal event. Events are typed records rather than
@@ -86,7 +86,7 @@ type Core struct {
 	storeBuf []sbEntry //simlint:nosnapshot the store buffer drains empty before a snapshot
 	sbHead   int       //simlint:nosnapshot head index of storeBuf, which drains empty
 
-	// Core-internal scheduled events (completions, replays). Slots are
+	// Core-internal scheduled events (executions, completions). Slots are
 	// reused in place: firing truncates to length zero, keeping the backing
 	// arrays warm. pendingCoreEvents counts events in the wheel (including
 	// ones whose uop died; they still fire and no-op) so the clock warp can
@@ -95,6 +95,25 @@ type Core struct {
 	pendingCoreEvents int                      //simlint:nosnapshot zero when the wheel is empty
 	//simlint:nosnapshot cache over the empty wheel; recomputed as events are scheduled
 	nextCoreEvCache int64 // lower bound on the earliest pending event's cycle
+
+	// Loads refused for a full L1D MSHR file, oldest refusal first (holdLoad,
+	// retryHeld). heldRACache and heldBuffer count what a bulk pass adds
+	// beyond the refusals themselves; heldFills is the requestor's L1D fill
+	// count at the last per-load pass, and heldWake records that some other
+	// wake source fired since. heldSplit counts the events that were already
+	// in the next cycle's wheel slot when this cycle began firing: held loads
+	// retry after those and before the ones scheduled since.
+	//simlint:nosnapshot empty in a drained core (QuiescedCore requires it)
+	held        []schedRef
+	heldRACache uint64 //simlint:nosnapshot bulk-count companion of held, zero when it is empty
+	heldBuffer  uint64 //simlint:nosnapshot bulk-count companion of held, zero when it is empty
+	heldFills   uint64 //simlint:nosnapshot wake signal; a drained core holds no loads to wake
+	heldWake    bool   //simlint:nosnapshot wake signal; a drained core holds no loads to wake
+	heldSplit   int    //simlint:nosnapshot read only while loads are held, which a drained core never is
+	// perLoadRetry makes every pass re-run execLoad on each held load: the
+	// reference the held-load lockstep test compares the bulk count against.
+	//simlint:nosnapshot test switch; both settings produce identical simulated state
+	perLoadRetry bool
 
 	// Event-driven wakeup/select scheduler state (see sched.go). Always
 	// allocated; under SchedScan only the store-address index is bypassed and
@@ -457,21 +476,31 @@ func (c *Core) cycleBody() {
 	c.cycleIssued = 0
 	c.cycleRenamed = 0
 
-	// Fire core events due this cycle. The slot is truncated, not nilled, so
-	// the backing array is reused; no handler can append to the firing slot
-	// (that would need an event exactly eventWindow cycles out, which
-	// schedule rejects).
+	// Fire core events due this cycle, retrying the held loads where an
+	// event scheduled one cycle out by the previous cycle's event phase
+	// would fire: after the events already in this slot when that phase
+	// began, before those scheduled since. No other event-phase schedule
+	// lands one cycle out (Validate keeps L1Latency above 1), so a held
+	// load's retry keeps its place among the events it could race with.
+	// The slot is truncated, not nilled, so the backing array is reused; no
+	// handler can append to the firing slot (that would need an event
+	// exactly eventWindow cycles out, which schedule rejects).
 	slot := c.now % eventWindow
-	if evs := c.events[slot]; len(evs) > 0 {
+	evs := c.events[slot]
+	held, split := len(c.held), len(evs)
+	if held > 0 {
+		split = min(split, c.heldSplit)
+	}
+	c.heldSplit = len(c.events[(c.now+1)%eventWindow])
+	if len(evs) > 0 {
 		c.events[slot] = evs[:0]
 		c.pendingCoreEvents -= len(evs)
-		for _, ev := range evs {
-			if ev.at != c.now {
-				panicWarpedEvent(ev.at, c.now)
-			}
-			c.fireEvent(ev)
-		}
 	}
+	c.fireDue(evs[:split])
+	if held > 0 {
+		c.retryHeld(held)
+	}
+	c.fireDue(evs[split:])
 
 	if c.ra.active && c.ra.pendingExit {
 		c.exitRunahead()
@@ -515,6 +544,18 @@ func (c *Core) cycleBody() {
 	}
 	if c.onCycle != nil {
 		c.onCycle()
+	}
+}
+
+// fireDue fires events due this cycle, in order.
+//
+//simlint:hotpath
+func (c *Core) fireDue(evs []coreEvent) {
+	for _, ev := range evs {
+		if ev.at != c.now {
+			panicWarpedEvent(ev.at, c.now)
+		}
+		c.fireEvent(ev)
 	}
 }
 

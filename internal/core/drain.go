@@ -28,7 +28,7 @@ func (c *Core) QuiescedCore() bool {
 	if c.rob.size() != 0 || c.frontLen() != 0 || c.rsCount != 0 || c.lqCount != 0 || c.sqCount != 0 {
 		return false
 	}
-	if c.sbLen() != 0 || c.ra.active || c.icacheWait {
+	if c.sbLen() != 0 || c.ra.active || c.icacheWait || len(c.held) != 0 {
 		return false
 	}
 	for i := range c.events {

@@ -17,8 +17,9 @@ import "runaheadsim/internal/trace"
 
 const (
 	// defaultFlightEvents sizes the ring when Config.FlightRecorderEvents is
-	// zero: 512 events is a few thousand bytes per core and typically covers
-	// tens of thousands of cycles of memory-system activity before a wedge.
+	// zero: 512 events of 168 bytes (trace.Event) are about 86 KB per core,
+	// and typically cover tens of thousands of cycles of memory-system
+	// activity before a wedge.
 	defaultFlightEvents = 512
 
 	// flightSampleEvery is the occupancy-sample period in executed (unwarped)

@@ -84,29 +84,46 @@ func TestL1DMissRoundTripAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRefusedLoadRetryAllocatesNothing gates the refused attempt: with every
-// L1D MSHR busy, execLoad counts the refusal and reschedules itself without
-// building anything.
+// TestRefusedLoadRetryAllocatesNothing gates held loads in steady state: on
+// stormKernel, with a small L1D MSHR file that refuses loads on most
+// cycles, sleepBlock-cycle blocks of refusals, bulk-counted retries and
+// wakes allocate nothing. Alongside, a reference core that re-runs every
+// held load (perLoadRetry) must count the same refusals, both as load
+// retries and as hierarchy loads, and no retry may sit on the event wheel:
+// the only loads there issued this cycle.
 func TestRefusedLoadRetryAllocatesNothing(t *testing.T) {
-	c := newRig()
-	for i := 0; i < c.cfg.Mem.L1DMSHRs; i++ {
-		c.execLoad(c.rigLoad(rigLoadUop(0x4000_0000 + uint64(i)<<12)))
+	cfg := testConfig(ModeBufferCC)
+	cfg.Mem.L1DMSHRs = 12
+	c, ref := New(cfg, stormKernel()), New(cfg, stormKernel())
+	ref.perLoadRetry = true
+	for i := 0; i < 20_000; i++ {
+		c.Cycle()
+		ref.Cycle()
 	}
-	d := c.rigLoad(rigLoadUop(0x5000_0000))
-	slot := (c.now + 1) % eventWindow
-	before := c.h.Loads
-	allocs := testing.AllocsPerRun(200, func() {
-		c.execLoad(d)
-		// Drop the rescheduled retry so the wheel slot does not grow.
-		c.events[slot] = c.events[slot][:0]
-		c.pendingCoreEvents = 0
+	retries, held := c.st.LoadRetries, 0
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < sleepBlock; i++ {
+			held += len(c.held)
+			c.Cycle()
+			ref.Cycle()
+			for s := range c.events {
+				for _, ev := range c.events[s] {
+					if ev.kind == evExecLoad && ev.d.gen == ev.gen && ev.d.IssueCycle != c.now {
+						t.Fatalf("cycle %d: a load issued at cycle %d waits on the event wheel", c.now, ev.d.IssueCycle)
+					}
+				}
+			}
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("refused load retry allocates %v times, want 0", allocs)
+		t.Fatalf("%d cycles of refused loads allocate %v times, want 0", sleepBlock, allocs)
 	}
-	if d.memIssued || c.Stats().LoadRetries != 201 || c.h.Loads-before != 201 {
-		t.Fatalf("memIssued=%v retries=%d loads=%d, want every attempt refused and counted",
-			d.memIssued, c.Stats().LoadRetries, c.h.Loads-before)
+	if held == 0 || c.st.LoadRetries == retries {
+		t.Fatalf("%d loads held, %d refusals over the measured blocks; the rig does not refuse loads", held, c.st.LoadRetries-retries)
+	}
+	if c.Now() != ref.Now() || c.st.LoadRetries != ref.st.LoadRetries || c.h.Loads != ref.h.Loads {
+		t.Fatalf("cycle %d/%d: %d retries and %d loads counted, the per-load reference %d and %d",
+			c.Now(), ref.Now(), c.st.LoadRetries, c.h.Loads, ref.st.LoadRetries, ref.h.Loads)
 	}
 }
 

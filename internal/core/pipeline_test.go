@@ -383,6 +383,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.ChainCacheEntries = 0 },
 		func(c *Config) { c.MemPorts = 0 },
 		func(c *Config) { c.SQSize = 0 },
+		// An L1 hit fired in the event phase would complete one cycle out,
+		// beside the held loads' retries (cycleBody).
+		func(c *Config) { c.Mem.L1Latency = 1 },
 	}
 	for i, mut := range mutations {
 		cfg := DefaultConfig()
@@ -390,6 +393,11 @@ func TestConfigValidation(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+	minL1 := DefaultConfig()
+	minL1.Mem.L1Latency = 2
+	if err := minL1.Validate(); err != nil {
+		t.Errorf("a 2-cycle L1 rejected: %v", err)
 	}
 	// New panics on invalid configs.
 	func() {

@@ -111,6 +111,7 @@ func (c *Core) tryEnterRunahead(d *DynInst) {
 	c.ra.active = true
 	c.ra.usingBuffer = useBuffer
 	c.ra.pendingExit = false
+	c.heldWake = true // held loads now consult the runahead cache
 	// Entering runahead IS forward progress for watchdog purposes: the stall
 	// so far was a legal DRAM-bound wait, and pseudo-retirement (which also
 	// advances lastProgress) may take a few more cycles to start. Without
@@ -275,6 +276,7 @@ func (c *Core) exitRunahead() {
 	}
 	c.rob.clear()
 	c.sched.clear()
+	c.heldWake = true // every held load just left the machine
 	c.rsCount, c.lqCount, c.sqCount = 0, 0, 0
 	c.dropFrontQ()
 

@@ -143,6 +143,9 @@ func (c *Core) WarpSources() (t int64, ok bool) {
 			t = at
 		}
 	}
+	if len(c.held) > 0 {
+		t = c.now + 1 // held loads retry next cycle
+	}
 	if raRetry && c.ra.retryAt < t {
 		t = c.ra.retryAt
 	}

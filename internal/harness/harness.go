@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -110,6 +111,24 @@ func (rc RunConfig) Label() string {
 	}
 	if rc.Prefetch {
 		s += "+" + pf
+	}
+	return s
+}
+
+// runName names one run to the Monitor and in flight-dump file names: the
+// Label, which is also the figures' column header, plus each override Label
+// leaves out, so concurrent runs that differ only in those report under
+// distinct keys ("RB+CC cc=4", "RA dep").
+func (rc RunConfig) runName() string {
+	s := rc.Label()
+	if rc.MaxChain != 0 {
+		s += " chain=" + strconv.Itoa(rc.MaxChain)
+	}
+	if rc.CCEntries != 0 {
+		s += " cc=" + strconv.Itoa(rc.CCEntries)
+	}
+	if rc.DepTrack {
+		s += " dep"
 	}
 	return s
 }
@@ -474,7 +493,7 @@ func (r *Runner) run(bench string, rc RunConfig) *Result {
 	if !ok {
 		panic(fmt.Sprintf("harness: unknown benchmark %q", bench))
 	}
-	label := rc.Label()
+	label := rc.runName()
 	if m := r.opts.Monitor; m != nil {
 		m.RunStart(bench, label)
 		defer m.RunDone(bench, label)

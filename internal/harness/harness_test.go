@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -352,5 +353,33 @@ func TestTableJSONRoundTrip(t *testing.T) {
 	}
 	if back.ID != tb.ID || len(back.Rows) != 1 || back.Rows[0][1] != "2" || back.Notes[0] != "n" {
 		t.Fatalf("round trip lost data: %+v", back)
+	}
+}
+
+// TestRunNamesDistinguishOverrides checks that runs differing only in
+// overrides Label leaves out — chain-cache entries, chain length, dependence
+// tracking — report to the Monitor under distinct names, while Label, the
+// figures' column header, stays the system's name.
+func TestRunNamesDistinguishOverrides(t *testing.T) {
+	mon := &recordingMonitor{}
+	r := NewRunner(Options{MeasureUops: 2_000, WarmupUops: 1_000, Monitor: mon})
+	configs := []RunConfig{
+		BufferCC,
+		{Mode: BufferCC.Mode, CCEntries: 4},
+		{Mode: BufferCC.Mode, MaxChain: 16},
+		Runahead,
+		Runahead.WithDepTrack(),
+	}
+	for _, rc := range configs {
+		r.Result("mcf", rc)
+	}
+	want := []string{"mcf|RB+CC", "mcf|RB+CC cc=4", "mcf|RB+CC chain=16", "mcf|RA", "mcf|RA dep"}
+	if !slices.Equal(mon.starts, want) {
+		t.Fatalf("runs started as %q, want %q", mon.starts, want)
+	}
+	for _, rc := range configs[1:3] {
+		if got := rc.Label(); got != "RB+CC" {
+			t.Fatalf("Label of %+v = %q, want RB+CC", rc, got)
+		}
 	}
 }

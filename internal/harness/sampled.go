@@ -410,7 +410,7 @@ func (r *Runner) runDetailed(bench string, rc RunConfig, spec workload.Spec) (*R
 
 	full := r.opts.Warmup(spec.Class)
 	measure := r.opts.MeasureUops
-	label := rc.Label()
+	label := rc.runName()
 	m := r.opts.Monitor
 	sampled := r.opts.Sample != nil
 	var so SampleOptions

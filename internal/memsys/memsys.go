@@ -280,6 +280,13 @@ type front struct {
 	// restoring host attaches its own.
 	onLLCMiss func(now int64, line uint64, instr bool)
 
+	// l1dFills counts the lines filled into l1d. A fill is the only event
+	// that frees an L1D MSHR or brings a line in, so a load refused for a
+	// full MSHR file is refused again until this count moves. It is a
+	// host-side wake signal, compared only against earlier readings, so no
+	// snapshot carries it.
+	l1dFills uint64
+
 	st ReqStats
 }
 
@@ -691,8 +698,24 @@ func (h *Hierarchy) NextEvent() int64 {
 //
 // Load reports false when the L1D MSHR file is full and the access must be
 // retried. A refused load still counts as an access and an L1D miss, and
-// leaves nothing behind.
+// leaves nothing behind. It stays refused until a line fills the requestor's
+// L1D (L1DFillsR moves), so a requestor holding refused loads need not
+// retry them in between: RefuseLoadsR counts n such refusals at once.
 func (h *Hierarchy) Load(now int64, t Token) bool { return h.LoadR(0, now, t) }
+
+// L1DFillsR returns how many lines have filled requestor req's L1D. Between
+// two equal readings no L1D MSHR freed and no line arrived, so a load the
+// hierarchy refused at the first would be refused at the second.
+func (h *Hierarchy) L1DFillsR(req int) uint64 { return h.fr[req].l1dFills }
+
+// RefuseLoadsR counts n refused loads of requestor req exactly as n refused
+// LoadR calls would: n hierarchy and requestor loads, and n L1D misses.
+func (h *Hierarchy) RefuseLoadsR(req int, n uint64) {
+	f := &h.fr[req]
+	h.Loads += n
+	f.st.Loads += n
+	f.l1d.Misses += n
+}
 
 // LoadHitR is the allocation-free fast path for requestor req's common
 // L1D-hit case: if addr hits, it counts the access exactly as Load's hit
@@ -947,6 +970,7 @@ func (h *Hierarchy) fillL1(req int, line uint64, kind reqKind, fromMem bool) {
 		if _, ok := f.l1dMSHR.Lookup(line); !ok {
 			return // e.g. duplicate fill after an inclusion invalidation
 		}
+		f.l1dFills++
 		v := f.l1d.Insert(line, false)
 		if v.Valid && v.Dirty {
 			// Write back into the (inclusive) LLC; if it lost the line,
