@@ -1,5 +1,5 @@
-// Package allocmeter measures the heap bytes a call allocates, for tests
-// that bound what decoding hostile input may cost.
+// Package allocmeter measures what a call allocates, for tests that bound
+// what decoding hostile input may cost and for the allocation gates.
 package allocmeter
 
 import "runtime"
@@ -20,4 +20,23 @@ func Bytes(fn func()) uint64 {
 		least = min(least, ms.TotalAlloc-before)
 	}
 	return least
+}
+
+// Mallocs returns the total number of heap allocations runs calls of fn
+// made, after one warm-up call that is not counted. It is
+// testing.AllocsPerRun without the division: a mean rounded down reads 0
+// for a path that allocates on fewer than every run, so a gate that wants
+// none compares this total with 0. GOMAXPROCS is 1 while it measures, so
+// no other goroutine of the test binary runs in between.
+func Mallocs(runs int, fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs - before
 }

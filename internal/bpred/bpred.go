@@ -50,11 +50,15 @@ type Predictor struct {
 	BTBMisses   uint64
 }
 
+// btbEntry is one BTB way. Branch PCs are isa.UopBytes-aligned, so the
+// entry's valid bit is the tag's bit 0: a valid entry holds pc|btbValid, an
+// empty one a zero tag and target.
 type btbEntry struct {
 	tag    uint64
 	target uint64
-	valid  bool
 }
+
+const btbValid = 1
 
 // New returns a predictor with all counters weakly not-taken.
 func New(cfg Config) *Predictor {
@@ -103,8 +107,8 @@ func (p *Predictor) chooserIdx(pc uint64) int {
 // Prediction is the result of a direction lookup, carrying everything needed
 // to update the tables later under the history that produced the prediction.
 type Prediction struct {
-	Taken      bool
 	GHRBefore  uint64 // history before the speculative update
+	Taken      bool
 	UsedGshare bool
 }
 
@@ -184,17 +188,21 @@ func bump(c uint8, up bool) uint8 {
 // LookupBTB returns the predicted target for the branch at pc, if any.
 func (p *Predictor) LookupBTB(pc uint64) (uint64, bool) {
 	e := &p.btb[(pc>>3)&uint64(p.cfg.BTBEntries-1)]
-	if e.valid && e.tag == pc {
+	if e.tag == pc|btbValid {
 		return e.target, true
 	}
 	p.BTBMisses++
 	return 0, false
 }
 
-// UpdateBTB records the taken target of the branch at pc.
+// UpdateBTB records the taken target of the branch at pc, which must be
+// isa.UopBytes-aligned.
 func (p *Predictor) UpdateBTB(pc, target uint64) {
+	if pc&btbValid != 0 {
+		panic("bpred: BTB update for an unaligned branch PC")
+	}
 	e := &p.btb[(pc>>3)&uint64(p.cfg.BTBEntries-1)]
-	e.tag, e.target, e.valid = pc, target, true
+	e.tag, e.target = pc|btbValid, target
 }
 
 // Train applies one correct-path branch to the predictor the way the

@@ -19,9 +19,9 @@ func (p *Predictor) SnapshotTo(w *snapshot.Writer) error {
 	w.U64(p.ghr)
 	for i := range p.btb {
 		e := &p.btb[i]
-		w.U64(e.tag)
+		w.U64(e.tag &^ btbValid)
 		w.U64(e.target)
-		w.Bool(e.valid)
+		w.Bool(e.tag&btbValid != 0)
 	}
 	for _, a := range p.ras.entries {
 		w.U64(a)
@@ -73,9 +73,21 @@ func (p *Predictor) RestoreFrom(r *snapshot.Reader) error {
 	p.ghr = r.U64() & p.ghrMask
 	for i := range p.btb {
 		e := &p.btb[i]
-		e.tag = r.U64()
-		e.target = r.U64()
-		e.valid = r.Bool()
+		tag, target, valid := r.U64(), r.U64(), r.Bool()
+		if r.Err() != nil {
+			return r.Err()
+		}
+		switch {
+		case valid && tag&btbValid != 0:
+			r.Failf("bpred: BTB entry %d has the unaligned tag %#x", i, tag)
+			return r.Err()
+		case !valid && (tag != 0 || target != 0):
+			r.Failf("bpred: invalid BTB entry %d has tag %#x and target %#x", i, tag, target)
+			return r.Err()
+		case valid:
+			tag |= btbValid
+		}
+		e.tag, e.target = tag, target
 	}
 	for i := range p.ras.entries {
 		p.ras.entries[i] = r.U64()

@@ -22,8 +22,8 @@ func (f *MSHRFile) CheckConservation() error {
 		return fmt.Errorf("mshr: conservation broken: %d allocated != %d completed + %d outstanding",
 			f.allocTotal, f.completeTotal, len(f.entries))
 	}
-	//simlint:allow determinism -- order-insensitive validation scan
-	for line, m := range f.entries {
+	for i, m := range f.entries {
+		line := f.lines[i]
 		if m == nil {
 			return fmt.Errorf("mshr: nil entry for line %#x", line)
 		}

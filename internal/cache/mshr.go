@@ -79,8 +79,15 @@ type Token struct {
 // fill, which is also how runahead's extra loads to already-missing lines
 // avoid generating redundant DRAM traffic.
 type MSHRFile struct {
-	cap     int
-	entries map[uint64]*MSHR
+	cap int
+	// lines and entries list the outstanding entries, unordered: entries[i]
+	// is the entry for lines[i]. A file holds a few dozen entries at most,
+	// so a scan of lines finds one about as fast as a map would, and, unlike
+	// a map whose deletions leave tombstones to rehash away, the slices never
+	// allocate after construction.
+	//simlint:nosnapshot parallel to entries, which a snapshot requires empty
+	lines   []uint64
+	entries []*MSHR
 
 	// Statistics.
 	Allocs uint64
@@ -104,10 +111,15 @@ type MSHRFile struct {
 	allocTotal    uint64
 	completeTotal uint64
 
-	// free holds recycled entries (see Recycle); their waiter-list backing
-	// arrays are kept so steady-state misses allocate nothing.
+	// free holds recycled entries (see Recycle).
 	//simlint:nosnapshot host-side recycle pool; its contents never reach simulated state
 	free []*MSHR
+	// tokens holds the emptied backing arrays of recycled entries' token
+	// lists. An entry takes one when a list gains its first token, so the
+	// arrays circulate among entries and the pool soon holds arrays as long
+	// as any list gets; arrays kept per entry would each grow separately.
+	//simlint:nosnapshot host-side recycle pool; its contents never reach simulated state
+	tokens [][]Token
 }
 
 // MSHR is one outstanding line fill.
@@ -140,13 +152,25 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	if capacity <= 0 {
 		panic("cache: MSHR file needs positive capacity")
 	}
-	return &MSHRFile{cap: capacity, entries: make(map[uint64]*MSHR, capacity)}
+	return &MSHRFile{cap: capacity, lines: make([]uint64, 0, capacity), entries: make([]*MSHR, 0, capacity)}
+}
+
+// find returns the index of lineAddr's entry, or -1.
+func (f *MSHRFile) find(lineAddr uint64) int {
+	for i, l := range f.lines {
+		if l == lineAddr {
+			return i
+		}
+	}
+	return -1
 }
 
 // Lookup returns the outstanding entry for lineAddr, if any.
 func (f *MSHRFile) Lookup(lineAddr uint64) (*MSHR, bool) {
-	m, ok := f.entries[lineAddr]
-	return m, ok
+	if i := f.find(lineAddr); i >= 0 {
+		return f.entries[i], true
+	}
+	return nil, false
 }
 
 // FullNow reports whether no new entry can be allocated.
@@ -156,7 +180,7 @@ func (f *MSHRFile) FullNow() bool { return len(f.entries) >= f.cap }
 // rejection when the file is full. lineAddr must not already be present
 // (callers merge via Lookup first).
 func (f *MSHRFile) Allocate(lineAddr uint64, prefetch bool) *MSHR {
-	if _, ok := f.entries[lineAddr]; ok {
+	if f.find(lineAddr) >= 0 {
 		panic("cache: MSHR already allocated for line")
 	}
 	if len(f.entries) >= f.cap {
@@ -174,7 +198,8 @@ func (f *MSHRFile) Allocate(lineAddr uint64, prefetch bool) *MSHR {
 		m = &MSHR{LineAddr: lineAddr, Prefetch: prefetch}
 		f.PoolNews++
 	}
-	f.entries[lineAddr] = m
+	f.lines = append(f.lines, lineAddr)
+	f.entries = append(f.entries, m)
 	f.Allocs++
 	f.allocTotal++
 	if n := len(f.entries); n > f.Peak {
@@ -188,7 +213,7 @@ func (f *MSHRFile) Allocate(lineAddr uint64, prefetch bool) *MSHR {
 // lateness.
 func (f *MSHRFile) Merge(m *MSHR, demand bool, waiter Token) {
 	if waiter.Kind != TokNone {
-		m.Waiters = append(m.Waiters, waiter)
+		m.Waiters = f.appendToken(m.Waiters, waiter)
 	}
 	if demand && m.Prefetch {
 		m.Prefetch = false
@@ -197,13 +222,43 @@ func (f *MSHRFile) Merge(m *MSHR, demand bool, waiter Token) {
 	f.Merges++
 }
 
+// AddEarlyMiss queues a load to be notified when m's miss is known to be
+// DRAM-bound.
+func (f *MSHRFile) AddEarlyMiss(m *MSHR, t Token) {
+	m.EarlyMiss = f.appendToken(m.EarlyMiss, t)
+}
+
+// appendToken appends t to list, taking a pooled array for an empty one.
+func (f *MSHRFile) appendToken(list []Token, t Token) []Token {
+	if list == nil {
+		if n := len(f.tokens); n > 0 {
+			list = f.tokens[n-1]
+			f.tokens[n-1] = nil
+			f.tokens = f.tokens[:n-1]
+		} else {
+			list = newTokens()
+		}
+	}
+	return append(list, t)
+}
+
+// newTokens is appendToken's pool miss, kept out of line so the hot paths
+// appendToken inlines into carry no allocation; a warm file does not reach
+// it.
+//
+//go:noinline
+func newTokens() []Token { return make([]Token, 0, 1) }
+
 // Complete removes the entry and returns it so the caller can run waiters.
 func (f *MSHRFile) Complete(lineAddr uint64) *MSHR {
-	m, ok := f.entries[lineAddr]
-	if !ok {
+	i := f.find(lineAddr)
+	if i < 0 {
 		panic("cache: completing MSHR that was never allocated")
 	}
-	delete(f.entries, lineAddr)
+	m, last := f.entries[i], len(f.entries)-1
+	f.lines[i], f.entries[i] = f.lines[last], f.entries[last]
+	f.entries[last] = nil
+	f.lines, f.entries = f.lines[:last], f.entries[:last]
 	f.completeTotal++
 	return m
 }
@@ -211,9 +266,14 @@ func (f *MSHRFile) Complete(lineAddr uint64) *MSHR {
 // Recycle returns a completed entry to the allocation pool. The caller must
 // be done with every reference to m — waiters delivered, fill level
 // inspected — because the next Allocate may hand the same entry out again.
-// The token lists' backing arrays survive for reuse.
+// The token lists' backing arrays go back to the array pool.
 func (f *MSHRFile) Recycle(m *MSHR) {
-	*m = MSHR{Waiters: m.Waiters[:0], EarlyMiss: m.EarlyMiss[:0]}
+	for _, list := range [2][]Token{m.Waiters, m.EarlyMiss} {
+		if list != nil {
+			f.tokens = append(f.tokens, list[:0])
+		}
+	}
+	*m = MSHR{}
 	f.free = append(f.free, m)
 }
 
@@ -224,5 +284,6 @@ func (f *MSHRFile) Outstanding() int { return len(f.entries) }
 // dropped entries count as completed so conservation keeps holding.
 func (f *MSHRFile) Clear() {
 	clear(f.entries)
+	f.lines, f.entries = f.lines[:0], f.entries[:0]
 	f.completeTotal = f.allocTotal
 }

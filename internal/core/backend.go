@@ -89,7 +89,9 @@ func (c *Core) dispatch(d *DynInst) {
 		c.ren.rat[u.Dst] = d.PDst
 		c.prf.ready[d.PDst] = false
 		c.prf.poison[d.PDst] = false
-		c.prf.prod[d.PDst] = d.Seq
+	}
+	if c.dep != nil {
+		c.dep.rename(d)
 	}
 	c.rob.push(d)
 	c.traceDispatch(d)
@@ -124,7 +126,6 @@ func (c *Core) issueStage() {
 // issue performs the selection bookkeeping shared by both schedulers.
 func (c *Core) issue(d *DynInst) {
 	d.Issued = true
-	d.IssueCycle = c.now
 	c.rsCount--
 	c.st.Issued++
 	c.cycleIssued++
@@ -286,7 +287,7 @@ func (c *Core) execStore(d *DynInst) {
 		// read the runahead-cache line it writes below.
 		c.heldWake = true
 	}
-	d.Prod1, d.Prod2 = c.srcProd(d.PSrc1), c.srcProd(d.PSrc2)
+	c.noteSrcs(d)
 	if c.ra.active {
 		if addrPoisoned {
 			c.poisonComplete(d)
@@ -315,7 +316,7 @@ func (c *Core) execLoad(d *DynInst) {
 	}
 	d.EA = prog.EffAddr(d.U, c.srcVal(d.PSrc1), c.srcVal(d.PSrc2))
 	d.EAValid = true
-	d.Prod1, d.Prod2 = c.srcProd(d.PSrc1), c.srcProd(d.PSrc2)
+	c.noteSrcs(d)
 	if d.FromBuffer && c.ra.active {
 		c.ra.bufferRealLoads++
 	}
@@ -351,7 +352,9 @@ func (c *Core) execLoad(d *DynInst) {
 		if d.FromBuffer && c.ra.active {
 			c.ra.bufferForwards++
 		}
-		d.ProdStore = fwd.Seq
+		if c.dep != nil {
+			c.dep.prov[d.slot].prodStore = fwd.Seq
+		}
 		if fwd.Poisoned {
 			c.poisonComplete(d)
 			return
@@ -566,13 +569,14 @@ func (c *Core) complete(d *DynInst) {
 		c.sched.ready.unset(d.ROBPos)
 	}
 	d.Executed = true
-	d.DoneCycle = c.now
 	c.traceComplete(d)
 	if d.PDst != noPhys {
 		c.prf.val[d.PDst] = d.Value
 		c.prf.ready[d.PDst] = true
 		c.prf.poison[d.PDst] = d.Poisoned
-		c.prf.prod[d.PDst] = d.Seq
+		if c.dep != nil {
+			c.dep.regProd[d.PDst] = d.Seq
+		}
 		c.st.PRFWrites++
 		c.broadcast(d.PDst)
 	}
@@ -598,7 +602,7 @@ func (c *Core) execBranch(d *DynInst) {
 		return
 	}
 	s1, s2 := c.srcVal(d.PSrc1), c.srcVal(d.PSrc2)
-	d.Prod1, d.Prod2 = c.srcProd(d.PSrc1), c.srcProd(d.PSrc2)
+	c.noteSrcs(d)
 	d.Taken = prog.BranchTaken(d.U, s1, s2)
 	if d.U.Op == isa.CALL && d.U.HasDst() {
 		d.Value = int64(d.PC + isa.UopBytes)

@@ -162,7 +162,7 @@ type Core struct {
 	pcScore map[uint64]uint8
 
 	// Instrumentation.
-	dep    *depTracker //simlint:nosnapshot DepTrack cores refuse to snapshot (no wire format)
+	dep    *depTracker // DepTrack cores refuse to snapshot; draining clears its producer tags
 	tracer *Tracer     //simlint:nosnapshot observability only; the restoring host attaches its own
 	//simlint:nosnapshot observability only; rebuilt from config by the restoring host
 	flight   *trace.Ring    // always-on flight recorder (nil when disabled)
@@ -260,7 +260,7 @@ func newCore(cfg Config, p *prog.Program, mem *prog.Memory, h *memsys.Hierarchy,
 		c.prf.ready[i] = true
 	}
 	if cfg.DepTrack {
-		c.dep = newDepTracker()
+		c.dep = newDepTracker(cfg.NumPhysRegs)
 	}
 	c.lastFetchLine = ^uint64(0)
 	if n := cfg.FlightRecorderEvents; n >= 0 {
@@ -321,6 +321,9 @@ func (c *Core) growDyn() *DynInst {
 	c.prof.dynPoolNews++
 	d := &DynInst{slot: int32(len(c.slots))}
 	c.slots = append(c.slots, d)
+	if c.dep != nil {
+		c.dep.prov = append(c.dep.prov, depProv{})
+	}
 	return d
 }
 
@@ -389,7 +392,7 @@ func (c *Core) fireEvent(ev coreEvent) {
 		if d.Squashed || d.Executed {
 			return
 		}
-		d.Prod1, d.Prod2 = c.srcProd(d.PSrc1), c.srcProd(d.PSrc2)
+		c.noteSrcs(d)
 		d.Value = prog.Eval(d.U, c.srcVal(d.PSrc1), c.srcVal(d.PSrc2))
 		c.complete(d)
 	case evComplete:

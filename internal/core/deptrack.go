@@ -19,8 +19,14 @@ import (
 //
 // It keeps a ring of lightweight per-uop records keyed by sequence number;
 // chains are recovered by walking producer tags recorded at execute time.
+// The producer tags themselves live here too, so a core without DepTrack
+// neither stores nor maintains them: regProd names each physical register's
+// latest producer, and prov holds each in-flight uop's source producers,
+// indexed by DynInst.slot.
 type depTracker struct {
-	ring []depRec
+	ring    []depRec
+	regProd []uint64  // per physical register: seq of its producer, 0 = none
+	prov    []depProv // per DynInst slot
 
 	// Per-runahead-interval state; the maps are cleared, not remade, at
 	// every entry.
@@ -28,6 +34,12 @@ type depTracker struct {
 	intervalSigs   map[uint64]int
 	intervalUops   map[uint64]bool // seqs of uops on some miss chain
 	intervalActive bool
+}
+
+// depProv is one uop's provenance: the seqs producing its register sources
+// and, for a load, the store it forwarded from (0 = none).
+type depProv struct {
+	prod1, prod2, prodStore uint64
 }
 
 type depRec struct {
@@ -40,33 +52,57 @@ type depRec struct {
 	level      memsys.Level
 	runahead   bool
 	fromBuffer bool
-	issueCycle int64
-	doneCycle  int64
 }
 
 const depRingSize = 1 << 13
 
-func newDepTracker() *depTracker {
+func newDepTracker(numPhys int) *depTracker {
 	return &depTracker{
 		ring:         make([]depRec, depRingSize),
+		regProd:      make([]uint64, numPhys),
 		intervalSigs: map[uint64]int{},
 		intervalUops: map[uint64]bool{},
 	}
 }
 
+// rename starts d's provenance at dispatch and makes d the producer of its
+// destination register.
+func (t *depTracker) rename(d *DynInst) {
+	t.prov[d.slot] = depProv{}
+	if d.PDst != noPhys {
+		t.regProd[d.PDst] = d.Seq
+	}
+}
+
+// srcProd returns the producer of physical register p (0 = none).
+func (t *depTracker) srcProd(p PhysReg) uint64 {
+	if p == noPhys {
+		return 0
+	}
+	return t.regProd[p]
+}
+
+// noteSrcs records the producers of d's register sources as d reads them.
+// It is a no-op on a core without DepTrack.
+func (c *Core) noteSrcs(d *DynInst) {
+	if t := c.dep; t != nil {
+		p := &t.prov[d.slot]
+		p.prod1, p.prod2 = t.srcProd(d.PSrc1), t.srcProd(d.PSrc2)
+	}
+}
+
 func (t *depTracker) record(c *Core, d *DynInst) {
+	p := &t.prov[d.slot]
 	t.ring[d.Seq%depRingSize] = depRec{
 		seq:        d.Seq,
 		pc:         d.PC,
-		prod1:      d.Prod1,
-		prod2:      d.Prod2,
-		prodStore:  d.ProdStore,
+		prod1:      p.prod1,
+		prod2:      p.prod2,
+		prodStore:  p.prodStore,
 		isLoad:     d.U.Op.IsLoad(),
 		level:      d.MemLevel,
 		runahead:   d.Runahead,
 		fromBuffer: d.FromBuffer,
-		issueCycle: d.IssueCycle,
-		doneCycle:  d.DoneCycle,
 	}
 	if d.Runahead && c.ra.active && !c.ra.usingBuffer {
 		c.st.RATotalUops++

@@ -77,13 +77,14 @@ func (c *Core) normalizeDrained() {
 		c.prf.val[i] = c.archVal[i]
 		c.prf.ready[i] = true
 		c.prf.poison[i] = false
-		c.prf.prod[i] = 0
 	}
 	for i := isa.NumArchRegs; i < c.cfg.NumPhysRegs; i++ {
 		c.prf.val[i] = 0
 		c.prf.ready[i] = false
 		c.prf.poison[i] = false
-		c.prf.prod[i] = 0
+	}
+	if c.dep != nil {
+		clear(c.dep.regProd)
 	}
 	c.racache.Reset()
 	c.lastFetchLine = ^uint64(0)

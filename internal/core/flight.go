@@ -17,9 +17,9 @@ import "runaheadsim/internal/trace"
 
 const (
 	// defaultFlightEvents sizes the ring when Config.FlightRecorderEvents is
-	// zero: 512 events of 168 bytes (trace.Event) are about 86 KB per core,
-	// and typically cover tens of thousands of cycles of memory-system
-	// activity before a wedge.
+	// zero: 512 records of 32 bytes (trace.Ring keeps only the fields of the
+	// kinds it records) are 16 KB per core, and typically cover tens of
+	// thousands of cycles of memory-system activity before a wedge.
 	defaultFlightEvents = 512
 
 	// flightSampleEvery is the occupancy-sample period in executed (unwarped)

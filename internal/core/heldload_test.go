@@ -28,9 +28,12 @@ import (
 func stormKernel() *prog.Program {
 	b := prog.NewBuilder("storm")
 	const slots = 1 << 14
-	const streamBytes = 1 << 24
+	const streamBytes = stormStreamBytes
 	big := b.Alloc(slots*2048, 64)
 	stream := b.Alloc(streamBytes, 64)
+	if stream != stormStreamLo {
+		panic("storm: the stream region moved")
+	}
 	const rI, rBig, rMask, rG, rS, rStream, rOne, rSeed, rQ, rT, rAcc, rV, rA = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13
 	entry := b.Block("entry")
 	loop := b.Block("loop")
@@ -55,6 +58,13 @@ func stormKernel() *prog.Program {
 	taken.Addi(rI, rI, 1).Jmp(loop)
 	return b.MustBuild()
 }
+
+// The storm kernel's stores all land in its stream region.
+const (
+	stormStreamBytes = 1 << 24
+	stormStreamLo    = isa.DataBase + (1<<14)*2048
+	stormStreamHi    = stormStreamLo + stormStreamBytes
+)
 
 // heldCoverage counts, on the bulk-counting core, the cycles on which each
 // wake source met loads held from the cycle before.

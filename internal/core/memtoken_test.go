@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"runaheadsim/internal/allocmeter"
 	"runaheadsim/internal/isa"
+	"runaheadsim/internal/prog"
 )
 
 // Most tests here drive execLoad and the hierarchy by hand on a core whose
@@ -72,12 +74,12 @@ func (c *Core) missRoundTrip(t testing.TB, u *isa.Uop) {
 func TestL1DMissRoundTripAllocatesNothing(t *testing.T) {
 	c := newRig()
 	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs := allocmeter.Mallocs(200, func() {
 		c.missRoundTrip(t, conflictLines[i%len(conflictLines)])
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("L1D miss round trip allocates %v times, want 0", allocs)
+		t.Fatalf("L1D miss round trip allocates %d times, want 0", allocs)
 	}
 	if st := c.Stats(); st.LoadRetries != 0 || st.PoisonedUops != 0 {
 		t.Fatalf("retries/poisoned = %d/%d, want a plain miss each time", st.LoadRetries, st.PoisonedUops)
@@ -90,33 +92,37 @@ func TestL1DMissRoundTripAllocatesNothing(t *testing.T) {
 // wakes allocate nothing. Alongside, a reference core that re-runs every
 // held load (perLoadRetry) must count the same refusals, both as load
 // retries and as hierarchy loads, and no retry may sit on the event wheel:
-// the only loads there issued this cycle.
+// the only loads there have not yet run execLoad, which computes the
+// address of every load it refuses.
 func TestRefusedLoadRetryAllocatesNothing(t *testing.T) {
 	cfg := testConfig(ModeBufferCC)
 	cfg.Mem.L1DMSHRs = 12
 	c, ref := New(cfg, stormKernel()), New(cfg, stormKernel())
 	ref.perLoadRetry = true
-	for i := 0; i < 20_000; i++ {
+	for _, m := range []*Core{c, ref} {
+		ownPages(m.Mem(), stormStreamLo, stormStreamHi)
+	}
+	for i := 0; i < 100_000; i++ {
 		c.Cycle()
 		ref.Cycle()
 	}
 	retries, held := c.st.LoadRetries, 0
-	allocs := testing.AllocsPerRun(50, func() {
+	allocs := allocmeter.Mallocs(50, func() {
 		for i := 0; i < sleepBlock; i++ {
 			held += len(c.held)
 			c.Cycle()
 			ref.Cycle()
 			for s := range c.events {
 				for _, ev := range c.events[s] {
-					if ev.kind == evExecLoad && ev.d.gen == ev.gen && ev.d.IssueCycle != c.now {
-						t.Fatalf("cycle %d: a load issued at cycle %d waits on the event wheel", c.now, ev.d.IssueCycle)
+					if ev.kind == evExecLoad && ev.d.gen == ev.gen && ev.d.EAValid {
+						t.Fatalf("cycle %d: a load that already computed its address waits on the event wheel", c.now)
 					}
 				}
 			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("%d cycles of refused loads allocate %v times, want 0", sleepBlock, allocs)
+		t.Fatalf("%d cycles of refused loads allocate %d times, want 0", sleepBlock, allocs)
 	}
 	if held == 0 || c.st.LoadRetries == retries {
 		t.Fatalf("%d loads held, %d refusals over the measured blocks; the rig does not refuse loads", held, c.st.LoadRetries-retries)
@@ -127,6 +133,16 @@ func TestRefusedLoadRetryAllocatesNothing(t *testing.T) {
 	}
 }
 
+// ownPages gives m its own copy of every page in [lo, hi), as a store
+// reaching each page for the first time would: the storm kernel stores to a
+// new page every few iterations, and the program's memory image growing is
+// not what the gate measures.
+func ownPages(m *prog.Memory, lo, hi uint64) {
+	for a := lo; a < hi; a += 1 << 12 {
+		m.Write64(a, m.Read64(a))
+	}
+}
+
 // TestNoWaitMissAllocatesNothing gates the runahead miss: a no-wait load
 // completes poisoned at its early-miss notice, and the fill that follows
 // allocates nothing either.
@@ -134,7 +150,7 @@ func TestNoWaitMissAllocatesNothing(t *testing.T) {
 	c := newRig()
 	c.ra.active = true
 	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs := allocmeter.Mallocs(200, func() {
 		d := c.rigLoad(conflictLines[i%len(conflictLines)])
 		i++
 		c.execLoad(d)
@@ -146,7 +162,7 @@ func TestNoWaitMissAllocatesNothing(t *testing.T) {
 		c.freeDyn(d)
 	})
 	if allocs != 0 {
-		t.Fatalf("no-wait miss allocates %v times, want 0", allocs)
+		t.Fatalf("no-wait miss allocates %d times, want 0", allocs)
 	}
 }
 
@@ -236,9 +252,9 @@ func sleepRig() *Core {
 	return c
 }
 
-// sleepBlock is the unit the sleeping-load gates measure: allocation counts
-// are per run, rounded down, so a per-cycle run would hide an allocation made
-// on fewer than every cycle.
+// sleepBlock is the unit the sleeping-load gates measure. The gates count
+// every allocation over all measured blocks (allocmeter.Mallocs), so one
+// made on a single cycle of the measurement shows.
 const sleepBlock = 64
 
 // TestSleepingLoadsAllocatesNothing gates the load mask in steady state:
@@ -248,7 +264,7 @@ func TestSleepingLoadsAllocatesNothing(t *testing.T) {
 	c := sleepRig()
 	slept, woke := 0, 0
 	buf := make([]schedRef, 0, c.cfg.ROBSize)
-	allocs := testing.AllocsPerRun(50, func() {
+	allocs := allocmeter.Mallocs(50, func() {
 		for i := 0; i < sleepBlock; i++ {
 			before := len(heldLoads(c, buf))
 			c.Cycle()
@@ -260,7 +276,7 @@ func TestSleepingLoadsAllocatesNothing(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("%d sleeping-load cycles allocate %v times, want 0", sleepBlock, allocs)
+		t.Fatalf("%d sleeping-load cycles allocate %d times, want 0", sleepBlock, allocs)
 	}
 	if slept == 0 || woke == 0 {
 		t.Fatalf("loads were held on %d cycles and released on %d; the window does not exercise the load mask", slept, woke)

@@ -18,6 +18,7 @@ func TestDebugOmnetRA(t *testing.T) {
 	}
 	counts := map[k]int{}
 	lvl := map[memsys.Level]int{}
+	seen := map[uint64]bool{} // runahead loads already counted, by seq
 	for i := 0; i < 60000; i++ {
 		c.Cycle()
 		if !c.ra.active {
@@ -25,7 +26,8 @@ func TestDebugOmnetRA(t *testing.T) {
 		}
 		for j := 0; j < c.rob.size(); j++ {
 			d := c.rob.at(j)
-			if d.U.Op.IsLoad() && d.Executed && d.Runahead && d.DoneCycle == c.now {
+			if d.U.Op.IsLoad() && d.Executed && d.Runahead && !seen[d.Seq] {
+				seen[d.Seq] = true
 				counts[k{d.PC, d.Poisoned}]++
 				if !d.Poisoned {
 					lvl[d.MemLevel]++

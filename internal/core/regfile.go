@@ -6,14 +6,13 @@ import (
 	"runaheadsim/internal/isa"
 )
 
-// regFile is the physical register file with per-register value, ready bit,
-// poison bit (the runahead addition shown shaded in Figure 6), and producer
-// tag for the dependence-walk instrumentation.
+// regFile is the physical register file with per-register value, ready bit
+// and poison bit (the runahead addition shown shaded in Figure 6). The
+// dependence-walk instrumentation keeps its producer tags in depTracker.
 type regFile struct {
 	val    []int64
 	ready  []bool
 	poison []bool
-	prod   []uint64
 }
 
 func newRegFile(n int) *regFile {
@@ -21,7 +20,6 @@ func newRegFile(n int) *regFile {
 		val:    make([]int64, n),
 		ready:  make([]bool, n),
 		poison: make([]bool, n),
-		prod:   make([]uint64, n),
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"runaheadsim/internal/bpred"
 	"runaheadsim/internal/isa"
+	"runaheadsim/internal/trace"
 )
 
 // raState is the runahead controller state for one interval.
@@ -137,9 +138,9 @@ func (c *Core) tryEnterRunahead(d *DynInst) {
 	c.st.CheckpointRegReads += isa.NumArchRegs
 	c.st.CheckpointRegWrites += isa.NumArchRegs
 	if c.tracer != nil || c.flight != nil {
-		mode, chainLen := "traditional", 0
+		mode, chainLen := trace.ModeTraditional, 0
 		if useBuffer {
-			mode = "buffer"
+			mode = trace.ModeBuffer
 			chainLen = chain.Len()
 		}
 		c.traceRunaheadEnter(d.PC, mode, chainLen)
@@ -286,11 +287,13 @@ func (c *Core) exitRunahead() {
 		c.prf.val[i] = c.archVal[i]
 		c.prf.ready[i] = true
 		c.prf.poison[i] = false
-		c.prf.prod[i] = 0
 	}
 	for i := isa.NumArchRegs; i < c.cfg.NumPhysRegs; i++ {
 		c.prf.ready[i] = false
 		c.prf.poison[i] = false
+	}
+	if c.dep != nil {
+		clear(c.dep.regProd[:isa.NumArchRegs])
 	}
 	c.racache.Reset()
 	c.bp.SetGHR(c.ra.ghrSnapshot)

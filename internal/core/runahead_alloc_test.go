@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"runaheadsim/internal/allocmeter"
+)
 
 // The runahead gates run whole cycles of a warm, memory-bound core: every
 // runahead entry (chain generation, the chain-cache probe, the RAS and
@@ -9,18 +13,19 @@ import "testing"
 
 // raBlock is the unit the runahead gates measure. The gather kernel enters
 // and leaves runahead every hundred-odd cycles, so each block holds several
-// intervals, and an allocation made once per interval still shows after
-// AllocsPerRun rounds its per-block mean down.
+// intervals. The gates count every allocation over all measured blocks
+// (allocmeter.Mallocs), so one made once in the whole measurement shows.
 const raBlock = 1024
 
 // runaheadRig returns a core in mode (with the runahead enhancements if enh)
 // on the gather kernel, run until its DynInst pool, event-wheel slots, chain
-// buffers and, with enh, its miss-age table have reached their working size.
+// buffers, recycle pools and, with enh, its miss-age table have reached
+// their working size.
 func runaheadRig(mode Mode, enh bool) *Core {
 	cfg := testConfig(mode)
 	cfg.Enhancements = enh
 	c := New(cfg, gatherLoop(8))
-	for c.now < 200_000 {
+	for c.now < 300_000 {
 		c.Cycle()
 	}
 	return c
@@ -44,7 +49,7 @@ func TestRunaheadAllocatesNothing(t *testing.T) {
 			st := c.Stats()
 			quiet := 0
 			chains, buffered := st.ChainsGenerated+st.ChainCacheHits, st.BufferUopsIssued
-			allocs := testing.AllocsPerRun(10, func() {
+			allocs := allocmeter.Mallocs(10, func() {
 				entries, exits := st.RunaheadIntervals, st.RunaheadIntervalLens.Count
 				for i := 0; i < raBlock; i++ {
 					c.Cycle()
@@ -54,7 +59,7 @@ func TestRunaheadAllocatesNothing(t *testing.T) {
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("%d %s cycles allocate %v times, want 0", raBlock, tc.name, allocs)
+				t.Fatalf("%d %s cycles allocate %d times, want 0", raBlock, tc.name, allocs)
 			}
 			if quiet != 0 {
 				t.Fatalf("%d of 11 blocks lacked a runahead entry or exit", quiet)

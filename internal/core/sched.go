@@ -115,10 +115,21 @@ type issueSched struct {
 	unknown slotSet      // in-window stores whose address is not computed yet
 	loads   slotSet      // in-window loads
 	waiters [][]schedRef // per physical register: uops waiting on its broadcast
+	// waiterPool holds the backing arrays of emptied waiter lists. A list
+	// hands its array back when it empties and takes one when it gains a
+	// waiter, so every array circulates among the registers and the pool
+	// soon holds arrays as long as any list gets: per-register arrays would
+	// each grow separately, and the last of them only after millions of
+	// cycles.
+	waiterPool [][]schedRef
 
 	storeIdx   map[uint64][]*DynInst // in-window EAValid stores by EA>>3 bucket
 	bucketPool [][]*DynInst          // recycled bucket backing arrays (see dropStore)
 }
+
+// minWaiters is the capacity of a fresh waiter array, sized so that most
+// lists never outgrow it.
+const minWaiters = 16
 
 func newIssueSched(numPhys, robSize int) issueSched {
 	return issueSched{
@@ -131,14 +142,17 @@ func newIssueSched(numPhys, robSize int) issueSched {
 }
 
 // clear drops every entry — the wholesale runahead-exit flush and the
-// drained-core normalization. The waiter lists are truncated in place so
-// their backing arrays stay warm.
+// drained-core normalization. The waiter arrays go back to the pool, so
+// they stay warm.
 func (s *issueSched) clear() {
 	clear(s.ready)
 	clear(s.unknown)
 	clear(s.loads)
-	for i := range s.waiters {
-		s.waiters[i] = s.waiters[i][:0]
+	for i, ws := range s.waiters {
+		if ws != nil {
+			s.waiterPool = append(s.waiterPool, ws[:0])
+			s.waiters[i] = nil
+		}
 	}
 	//simlint:allow determinism -- pool refill order never affects simulated state
 	for _, bucket := range s.storeIdx {
@@ -180,17 +194,41 @@ func (c *Core) enroll(d *DynInst) {
 	pending := int8(0)
 	if !c.srcReady(d.PSrc1) {
 		pending++
-		s.waiters[d.PSrc1] = append(s.waiters[d.PSrc1], r)
+		s.wait(d.PSrc1, r)
 	}
 	if !c.srcReady(d.PSrc2) {
 		pending++
-		s.waiters[d.PSrc2] = append(s.waiters[d.PSrc2], r)
+		s.wait(d.PSrc2, r)
 	}
 	d.pendingSrcs = pending
 	if pending == 0 {
 		s.ready.set(d.ROBPos)
 	}
 }
+
+// wait appends r to register p's waiter list, taking a pooled array when
+// the list is empty.
+//
+//simlint:hotpath
+func (s *issueSched) wait(p PhysReg, r schedRef) {
+	ws := s.waiters[p]
+	if ws == nil {
+		if n := len(s.waiterPool); n > 0 {
+			ws = s.waiterPool[n-1]
+			s.waiterPool[n-1] = nil
+			s.waiterPool = s.waiterPool[:n-1]
+		} else {
+			ws = newWaiters()
+		}
+	}
+	s.waiters[p] = append(ws, r)
+}
+
+// newWaiters is wait's pool miss, kept out of line so the hot path carries
+// no allocation; a warm core does not reach it.
+//
+//go:noinline
+func newWaiters() []schedRef { return make([]schedRef, 0, minWaiters) }
 
 // broadcast wakes the waiters of physical register p after its ready (or
 // poison) bit is set. Each waiter appears once per formerly-unready source,
@@ -207,7 +245,6 @@ func (c *Core) broadcast(p PhysReg) {
 	}
 	c.prof.schedBroadcasts++
 	c.prof.schedWakeups += uint64(len(ws))
-	c.sched.waiters[p] = ws[:0]
 	for _, w := range ws {
 		if w.stale() {
 			continue
@@ -216,6 +253,8 @@ func (c *Core) broadcast(p PhysReg) {
 			c.sched.ready.set(w.d.ROBPos)
 		}
 	}
+	c.sched.waiters[p] = nil
+	c.sched.waiterPool = append(c.sched.waiterPool, ws[:0])
 }
 
 // noteStoreAddr adds a store to the address index once its effective

@@ -112,8 +112,11 @@ type bank struct {
 	openRow uint64
 	hasOpen bool
 	readyAt int64
-	reqs    []*Request // pending requests in enqueue (seq) order
+	reqs    []*Request // pending requests in enqueue (seq) order; nil when none
 }
+
+// minBankReqs is the capacity of a fresh bank queue array.
+const minBankReqs = 8
 
 // Controller is the memory controller plus DRAM devices.
 type Controller struct {
@@ -129,6 +132,11 @@ type Controller struct {
 	//simlint:nosnapshot recomputed from the queue on the first post-restore tick; the queue drains empty anyway
 	horizon []int64
 	seqCtr  uint64 //simlint:nosnapshot FR-FCFS arrival tiebreaker; meaningless with the queue drained empty
+	// queuePool holds the backing arrays of emptied bank queues: a bank
+	// takes one when it gains a request, so the arrays circulate among the
+	// banks instead of each bank's growing separately.
+	//simlint:nosnapshot host-side recycle pool; its contents never reach simulated state
+	queuePool [][]*Request
 
 	// OnGrant, when non-nil, is invoked as the controller grants each
 	// request (the observability layer's DRAM-access event hook). rowHit
@@ -256,6 +264,9 @@ func (c *Controller) Enqueue(r *Request) bool {
 	r.seq = c.seqCtr
 	c.seqCtr++
 	bk := &c.banks[r.channel][r.bank]
+	if bk.reqs == nil {
+		bk.reqs = c.takeQueue()
+	}
 	bk.reqs = append(bk.reqs, r)
 	c.queued++
 	// The new request could be granted as soon as its bank is ready, and no
@@ -361,9 +372,24 @@ func (c *Controller) grantScan(ch int, now int64) {
 	copy(bk.reqs[bestIdx:], bk.reqs[bestIdx+1:])
 	bk.reqs[n] = nil // don't retain the granted request in the backing array
 	bk.reqs = bk.reqs[:n]
+	if n == 0 {
+		c.queuePool = append(c.queuePool, bk.reqs)
+		bk.reqs = nil
+	}
 	c.queued--
 	c.grant(best, now)
 	c.recomputeHorizon(ch)
+}
+
+// takeQueue returns an empty bank queue array, pooled when one is free.
+func (c *Controller) takeQueue() []*Request {
+	if n := len(c.queuePool); n > 0 {
+		q := c.queuePool[n-1]
+		c.queuePool[n-1] = nil
+		c.queuePool = c.queuePool[:n-1]
+		return q
+	}
+	return make([]*Request, 0, minBankReqs)
 }
 
 // recomputeHorizon derives the channel's grant horizon from ground truth:

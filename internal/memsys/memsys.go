@@ -753,7 +753,7 @@ func (h *Hierarchy) LoadR(req int, now int64, t Token) bool {
 		if m.FillFromMem {
 			h.scheduleEv(at, event{kind: evMiss, req: t.Req, tok: t})
 		} else {
-			m.EarlyMiss = append(m.EarlyMiss, t)
+			f.l1dMSHR.AddEarlyMiss(m, t)
 		}
 		if t.NoWait {
 			// The line is already in flight; runahead treats it as a miss in
@@ -774,7 +774,7 @@ func (h *Hierarchy) LoadR(req int, now int64, t Token) bool {
 		// a miss; if the LLC hits instead, the fill completes it quickly.
 		t.Kind = cache.TokLoadEarly
 	}
-	m.EarlyMiss = append(m.EarlyMiss, t)
+	f.l1dMSHR.AddEarlyMiss(m, t)
 	f.l1dMSHR.Merge(m, true, t)
 	h.sendLLC(req, now, line, kindData)
 	return true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"runaheadsim/internal/allocmeter"
 	"runaheadsim/internal/core"
 	"runaheadsim/internal/prog"
 	"runaheadsim/internal/snapshot"
@@ -265,7 +266,7 @@ func TestRestoreTopologyMismatch(t *testing.T) {
 func TestClusterRunaheadAllocatesNothing(t *testing.T) {
 	const block = 2048
 	cl := New(testConfig(core.ModeBuffer), []*prog.Program{workload.MustLoad("mcf"), workload.MustLoad("milc")})
-	for cl.Now() < 200_000 {
+	for cl.Now() < 300_000 {
 		cl.Step()
 	}
 	totals := func() (entries, exits uint64) {
@@ -280,7 +281,7 @@ func TestClusterRunaheadAllocatesNothing(t *testing.T) {
 		before[i] = c.Stats().RunaheadIntervals
 	}
 	quiet := 0
-	allocs := testing.AllocsPerRun(10, func() {
+	allocs := allocmeter.Mallocs(10, func() {
 		entries, exits := totals()
 		for i := 0; i < block; i++ {
 			cl.Step()
@@ -290,7 +291,7 @@ func TestClusterRunaheadAllocatesNothing(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("%d cluster cycles allocate %v times, want 0", block, allocs)
+		t.Fatalf("%d cluster cycles allocate %d times, want 0", block, allocs)
 	}
 	if quiet != 0 {
 		t.Fatalf("%d of 11 blocks lacked a runahead entry or exit", quiet)

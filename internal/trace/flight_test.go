@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -70,21 +71,37 @@ func TestRingDumpJSONL(t *testing.T) {
 	}
 }
 
-func TestRingAsSink(t *testing.T) {
-	r := NewRing(16)
-	var s Sink = r
-	ev := Event{Cycle: 7, Kind: Squash, Seq: 3, PC: 0x44}
-	s.Emit(&ev)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+// TestRingMarksSurviveWrap checks that Mark messages stay paired with
+// their records while the ring overwrites some of them.
+func TestRingMarksSurviveWrap(t *testing.T) {
+	r := NewRing(3)
+	for i := 0; i < 20; i++ {
+		if i%2 == 0 {
+			r.Mark(int64(i), fmt.Sprintf("mark %d", i))
+		} else {
+			r.Record(&Event{Cycle: int64(i), Kind: RunaheadExit, Misses: uint64(i)})
+		}
+		live := 0
+		for _, ev := range r.Events() {
+			if ev.Kind != Mark {
+				continue
+			}
+			live++
+			if ev.Op != fmt.Sprintf("mark %d", ev.Cycle) {
+				t.Fatalf("after %d records the mark at cycle %d reads %q", i+1, ev.Cycle, ev.Op)
+			}
+		}
+		if len(r.msgs)-r.msgHead != live || len(r.msgs) > 2*r.Len() {
+			t.Fatalf("after %d records %d messages are queued from %d, for %d live marks", i+1, len(r.msgs), r.msgHead, live)
+		}
 	}
-	if r.Len() != 1 || r.Events()[0].Seq != 3 {
-		t.Fatal("ring must retain emitted events")
-	}
-	// The ring copies: mutating the caller's event after Emit must not
-	// change what was recorded.
-	ev.Seq = 999
-	if r.Events()[0].Seq != 3 {
-		t.Fatal("ring must copy events, not retain pointers")
-	}
+}
+
+func TestRingRejectsPerUopKinds(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("recording a fetch event did not panic")
+		}
+	}()
+	NewRing(4).Record(&Event{Kind: Fetch, Seq: 1, Op: "ld"})
 }
